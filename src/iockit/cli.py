@@ -2,12 +2,13 @@
 apply the dynamic-blocklist filter, and compare tool outputs.
 
 Data goes to stdout (or --out) as JSON lines; diagnostics go to stderr.
-Exit codes: 0 success, 1 per-document errors (processing continued),
-2 unusable inputs.
+Exit codes: 0 success, 1 per-item errors (documents or input lines
+skipped, processing continued), 2 unusable inputs.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from collections import Counter, defaultdict
@@ -18,26 +19,97 @@ from . import corpus, filtering, harness
 from .errors import IockitError, UnknownTypeError
 from .extractor import Extractor, default_catalog_path, default_tld_path, load_catalog
 from .normalize import normalize
-from .types import Indicator, normalize_type_name
-
-_DEFAULT_TRANCO = "tranco_snapshot.csv"
+from .types import Indicator, IndicatorType, normalize_type_name
 
 
 def _err(message: str) -> None:
     print(f"iockit: {message}", file=sys.stderr)
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _open(path, mode: str = "r"):
+    """The named file, or stdin/stdout for None or '-' (left open)."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(path, mode, encoding="utf-8") as stream:
+            yield stream
 
 
-def _document_text(record: corpus.DocumentRecord) -> str:
-    text = record.read_text()
-    if record.format == "html":
-        return corpus.extract_text(text)
-    return text
+def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
+    """The manifest's loadable documents, and whether any failed to load;
+    each failure is reported."""
+    records, errors = corpus.load_manifest(path, strict=False)
+    for exc in errors:
+        _err(str(exc))
+    return records, bool(errors)
+
+
+class _IndicatorLines:
+    """Indicator records read from JSON-lines files ('-' is stdin) one line
+    at a time, as ``(tool, doc_id, indicator)``: the doc id lowercased, the
+    type name and value normalized, ``tool`` None when the line has none.
+    A line with an ``error`` field marks a tool crash on that document and
+    gives ``indicator`` None.
+
+    Every line needs string ``keys``, and string ``type`` and ``value``
+    unless it is an error line. A line that does not parse or lacks these
+    is reported as ``path:line: reason``, skipped and counted in
+    ``malformed``. An unknown type name is warned about once and its lines
+    are skipped; that is not an error.
+    """
+
+    def __init__(self, paths, keys: tuple[str, ...]):
+        self.paths = paths
+        self.keys = keys
+        self.indicator_keys = keys + ("type", "value")
+        self.malformed = 0
+        self._types: dict[str, IndicatorType | None] = {}
+
+    def __iter__(self):
+        for path in self.paths:
+            with _open(path) as stream:
+                for line_no, line in enumerate(stream, 1):
+                    if line.isspace():
+                        continue
+                    try:
+                        record = self._parse(line)
+                    except ValueError as exc:
+                        _err(f"{path}:{line_no}: {exc}")
+                        self.malformed += 1
+                        continue
+                    if record is not None:
+                        yield record
+
+    def _parse(self, line: str):
+        """The line's record, or None for an unknown type; ValueError says
+        what is malformed."""
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"bad JSON: {exc.msg} at column {exc.colno}") from None
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        error = obj.get("error")
+        for key in self.keys if error else self.indicator_keys:
+            if not isinstance(obj.get(key), str):
+                if key not in obj:
+                    raise ValueError(f"missing key {key!r}")
+                raise ValueError(f"{key!r} is not a string")
+        tool, doc_id = obj.get("tool"), obj["doc_id"].lower()
+        if error:
+            return tool, doc_id, None
+        name = obj["type"]
+        if name not in self._types:
+            try:
+                self._types[name] = normalize_type_name(name)
+            except UnknownTypeError:
+                self._types[name] = None
+                _err(f"skipping unsupported indicator type {name!r}")
+        ind_type = self._types[name]
+        if ind_type is None:
+            return None
+        return tool, doc_id, Indicator(ind_type, normalize(ind_type, obj["value"]))
 
 
 def _build_extractor(args) -> Extractor:
@@ -50,129 +122,84 @@ def _build_extractor(args) -> Extractor:
     return extractor
 
 
-def _extract_lines(extractor: Extractor, record: corpus.DocumentRecord, raw: bool) -> list[str]:
-    text = _document_text(record)
-    lines = []
+#: The extractor and the --raw flag of this process's extract loop: set in
+#: each pool worker by the pool's initializer, or in this process when the
+#: run is serial.
+_WORKER: tuple[Extractor, bool] | None = None
+
+
+def _worker_init(extractor: Extractor, raw: bool) -> None:
+    global _WORKER
+    _WORKER = (extractor, raw)
+
+
+def _extract_lines(record: corpus.DocumentRecord) -> list[str] | OSError:
+    """One document's output lines, or the OSError that stopped reading it."""
+    extractor, raw = _WORKER
+    try:
+        text = record.read_text()
+    except OSError as exc:
+        return exc
+    if record.format == "html":
+        text = corpus.extract_text(text)
     if raw:
-        for m in extractor.extract_raw(text):
-            lines.append(
-                json.dumps(
-                    {
-                        "doc_id": record.doc_id,
-                        "type": m.type.value,
-                        "value": m.rearmed,
-                        "start": m.start,
-                        "raw": m.raw,
-                    }
-                )
+        return [
+            json.dumps(
+                {
+                    "doc_id": record.doc_id,
+                    "type": m.type.value,
+                    "value": m.rearmed,
+                    "start": m.start,
+                    "raw": m.raw,
+                }
             )
-    else:
-        for ind in extractor.extract(text):
-            lines.append(
-                json.dumps(
-                    {"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value}
-                )
-            )
-    return lines
-
-
-_WORKER_EXTRACTOR: Extractor | None = None
-_WORKER_ARGS = None
-
-
-def _worker_init(catalog, tld_file, types):
-    global _WORKER_EXTRACTOR
-    ns = argparse.Namespace(catalog=catalog, tld_file=tld_file, types=types)
-    _WORKER_EXTRACTOR = _build_extractor(ns)
-
-
-def _worker_extract(payload):
-    record, raw = payload
-    return _extract_lines(_WORKER_EXTRACTOR, record, raw)
+            for m in extractor.extract_raw(text)
+        ]
+    return [
+        json.dumps({"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value})
+        for ind in extractor.extract(text)
+    ]
 
 
 def cmd_extract(args) -> int:
     try:
         extractor = _build_extractor(args)
-        records, errors = corpus.load_manifest(args.manifest, strict=False)
+        records, failed = _load_manifest(args.manifest)
     except (IockitError, OSError) as exc:
         _err(str(exc))
         return 2
-    had_doc_error = bool(errors)
-    for exc in errors:
-        _err(str(exc))
 
-    out, close_out = _open_out(args.out)
-    try:
-        if args.jobs and args.jobs > 1:
-            with ProcessPoolExecutor(
-                max_workers=args.jobs,
-                initializer=_worker_init,
-                initargs=(args.catalog, args.tld_file, args.types),
-            ) as pool:
-                futures = [
-                    (record, pool.submit(_worker_extract, (record, args.raw)))
-                    for record in records
-                ]
-                for record, future in futures:
-                    try:
-                        lines = future.result()
-                    except OSError as exc:
-                        _err(f"{record.doc_id}: {exc}")
-                        had_doc_error = True
-                        continue
-                    for line in lines:
-                        print(line, file=out)
+    with _open(args.out, "w") as out, contextlib.ExitStack() as stack:
+        if args.jobs > 1:
+            pool = ProcessPoolExecutor(
+                args.jobs, initializer=_worker_init, initargs=(extractor, args.raw)
+            )
+            results = stack.enter_context(pool).map(_extract_lines, records, chunksize=1)
         else:
-            for record in records:
-                try:
-                    lines = _extract_lines(extractor, record, args.raw)
-                except OSError as exc:
-                    _err(f"{record.doc_id}: {exc}")
-                    had_doc_error = True
-                    continue
-                for line in lines:
-                    print(line, file=out)
-    finally:
-        if close_out:
-            out.close()
-    return 1 if had_doc_error else 0
-
-
-def _read_indicator_lines(path: str):
-    """Yield (doc_id, Indicator) pairs from a JSON-lines file, normalizing
-    type names and values; unknown types are skipped with a warning."""
-    stream = sys.stdin if path in (None, "-") else open(path, encoding="utf-8")
-    warned: set[str] = set()
-    try:
-        for line in stream:
-            line = line.strip()
-            if not line:
+            _worker_init(extractor, args.raw)
+            results = map(_extract_lines, records)
+        for record, lines in zip(records, results):
+            if isinstance(lines, OSError):
+                _err(f"{record.doc_id}: {lines}")
+                failed = True
                 continue
-            obj = json.loads(line)
-            try:
-                ind_type = normalize_type_name(obj["type"])
-            except UnknownTypeError:
-                if obj["type"] not in warned:
-                    warned.add(obj["type"])
-                    _err(f"skipping unsupported indicator type {obj['type']!r}")
-                continue
-            yield obj["doc_id"].lower(), Indicator(ind_type, normalize(ind_type, obj["value"]))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+            for line in lines:
+                print(line, file=out)
+    return 1 if failed else 0
 
 
 def cmd_filter(args) -> int:
     try:
-        records = corpus.load_manifest(args.manifest)
-        by_doc: dict[str, set[Indicator]] = defaultdict(set)
+        records, failed = _load_manifest(args.manifest)
         known = {record.doc_id for record in records}
-        for doc_id, indicator in _read_indicator_lines(args.indicators):
+        by_doc: dict[str, set[Indicator]] = defaultdict(set)
+        reader = _IndicatorLines([args.indicators], ("doc_id",))
+        for _tool, doc_id, indicator in reader:
             if doc_id not in known:
                 _err(f"indicator references unknown doc {doc_id}; skipped")
-                continue
-            by_doc[doc_id].add(indicator)
+                failed = True
+            elif indicator is not None:
+                by_doc[doc_id].add(indicator)
 
         stats = filtering.CorpusStats()
         for record in records:
@@ -183,15 +210,13 @@ def cmd_filter(args) -> int:
             min_origin_docs=args.min_origin_docs,
             doc_freq_threshold=args.doc_freq_threshold,
         )
-    except (IockitError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (IockitError, OSError, ValueError) as exc:
         _err(f"{type(exc).__name__}: {exc}")
         return 2
 
     rule_counts: Counter = Counter()
     totals = Counter()
-    ioc_out, close_ioc = _open_out(args.out)
-    generic_out, close_generic = _open_out(args.generic_out)
-    try:
+    with _open(args.out, "w") as ioc_out, _open(args.generic_out, "w") as generic_out:
         for record in records:
             indicators = sorted(by_doc.get(record.doc_id, set()), key=Indicator.sort_key)
             for indicator in indicators:
@@ -211,57 +236,36 @@ def cmd_filter(args) -> int:
                     totals["generic"] += 1
                     rule_counts[rule] += 1
                     print(line, file=generic_out)
-    finally:
-        if close_ioc:
-            ioc_out.close()
-        if close_generic:
-            generic_out.close()
     summary = (
         f"total={totals['total']} iocs={totals['iocs']} generic={totals['generic']} "
         + " ".join(f"{name}={rule_counts[name]}" for name in filtering.RULE_NAMES)
     )
     print(summary, file=sys.stderr)
-    return 0
+    return 1 if failed or reader.malformed else 0
 
 
-def _load_tool_outputs(directory: Path):
-    """Read every *.jsonl/*.json file in the directory into ToolOutput
-    objects, grouped by (tool, doc). Lines with an "error" field mark a
-    tool crash on that document."""
-    indicator_sets: dict[tuple[str, str], set[Indicator]] = defaultdict(set)
-    errored: set[tuple[str, str]] = set()
-    warned: set[str] = set()
+def _load_tool_outputs(directory: Path) -> tuple[list[harness.ToolOutput], int]:
+    """ToolOutput objects grouped by (tool, doc) from every *.jsonl/*.json
+    file in the directory, and the number of malformed lines skipped."""
     paths = sorted(
         p for p in directory.iterdir() if p.suffix in (".jsonl", ".json") and p.is_file()
     )
-    for path in paths:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            tool, doc_id = obj["tool"], obj["doc_id"].lower()
-            if obj.get("error"):
-                errored.add((tool, doc_id))
-                indicator_sets.setdefault((tool, doc_id), set())
-                continue
-            try:
-                ind_type = normalize_type_name(obj["type"])
-            except UnknownTypeError:
-                if obj["type"] not in warned:
-                    warned.add(obj["type"])
-                    _err(f"skipping unsupported indicator type {obj['type']!r}")
-                continue
-            indicator_sets[(tool, doc_id)].add(
-                Indicator(ind_type, normalize(ind_type, obj["value"]))
-            )
+    reader = _IndicatorLines(paths, ("tool", "doc_id"))
+    indicator_sets: dict[tuple[str, str], set[Indicator]] = defaultdict(set)
+    errored: set[tuple[str, str]] = set()
+    for tool, doc_id, indicator in reader:
+        found = indicator_sets[(tool, doc_id)]
+        if indicator is None:
+            errored.add((tool, doc_id))
+        else:
+            found.add(indicator)
     outputs = [
         harness.ToolOutput(
             tool, doc_id, frozenset(indicators), error=(tool, doc_id) in errored
         )
         for (tool, doc_id), indicators in sorted(indicator_sets.items())
     ]
-    return outputs
+    return outputs, reader.malformed
 
 
 def _load_profiles(path: str) -> list[harness.ToolProfile]:
@@ -279,7 +283,7 @@ def cmd_compare(args) -> int:
     try:
         if not directory.is_dir():
             raise IockitError(f"not a directory: {directory}")
-        outputs = _load_tool_outputs(directory)
+        outputs, malformed = _load_tool_outputs(directory)
         profiles = _load_profiles(args.profiles)
         tools_seen = {o.tool for o in outputs}
         if len(tools_seen) < 2:
@@ -298,15 +302,11 @@ def cmd_compare(args) -> int:
         _err(f"{type(exc).__name__}: {exc}")
         return 2
 
-    out, close_out = _open_out(args.out)
-    try:
+    with _open(args.out, "w") as out:
         print(harness.report_to_json(report), file=out)
-    finally:
-        if close_out:
-            out.close()
     if args.csv:
         Path(args.csv).write_text(harness.render_csv(report), encoding="utf-8")
-    return 0
+    return 1 if malformed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,8 @@
 
 The catalog is data-driven so new transformations seen in the wild can be
 added without touching the engine: each rule is (obfuscated pattern,
-armed replacement, applicable types), and the default table also ships as
-``data/defang_rules.tsv``.
+armed replacement, applicable types). The default table is
+``DEFAULT_RULES`` below; ``load_rules`` reads a custom one from a file.
 """
 from __future__ import annotations
 
@@ -110,9 +110,6 @@ class DefangCatalog:
                 )
             out = out.replace(rule.replacement, rule.pattern)
         return out
-
-    def rules_for(self, type: IndicatorType) -> tuple[DefangRule, ...]:
-        return tuple(r for r in self.rules if r.applies_to(type))
 
 
 def load_rules(path: str | Path) -> DefangCatalog:

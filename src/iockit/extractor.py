@@ -82,9 +82,6 @@ class Extractor:
         kept = [e for e in self._entries if e.type in wanted]
         return Extractor(kept, self._tlds, self._defang, self._validation)
 
-    def validate(self, type: IndicatorType, rearmed: str) -> bool:
-        return validate(type, rearmed, self._tlds)
-
     def extract_raw(self, text: str) -> list[RawMatch]:
         """Every validated match, duplicates included, ordered by (start, type).
 

@@ -224,17 +224,13 @@ def blocking_rule(indicator: Indicator, blocklist: DynamicBlocklist) -> str | No
 
 
 def apply_filter(
-    indicators: Sequence[Indicator],
-    doc_origin: str,
-    blocklist: DynamicBlocklist,
+    indicators: Sequence[Indicator], blocklist: DynamicBlocklist
 ) -> tuple[list[Indicator], list[Indicator]]:
     """Partition normalized indicators into (iocs, generic).
 
     The blocklist is global: rule-2 entries qualify through any origin at
-    build time, so ``doc_origin`` does not change membership; it is part
-    of the call contract for traceability and future per-origin scoping.
+    build time, so the document's own origin does not change membership.
     """
-    del doc_origin
     iocs: list[Indicator] = []
     generic: list[Indicator] = []
     for indicator in indicators:

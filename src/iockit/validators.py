@@ -18,33 +18,6 @@ from .types import IndicatorType
 
 _T = IndicatorType
 
-#: Validation mechanism per type (every type has exactly one entry).
-VALIDATOR_KINDS: dict[IndicatorType, str] = {
-    _T.IP4: "range_check",
-    _T.IP4CIDR: "range_check",
-    _T.IP6: "structural",
-    _T.FQDN: "tld_lookup",
-    _T.URL: "tld_lookup",
-    _T.EMAIL: "tld_lookup",
-    _T.MD5: "structural",
-    _T.SHA1: "structural",
-    _T.SHA256: "structural",
-    _T.SHA512: "structural",
-    _T.SSDEEP: "structural",
-    _T.CVE: "none",
-    _T.ASN: "range_check",
-    _T.BITCOIN: "base58check",
-    _T.ETHEREUM: "structural",
-    _T.MONERO: "structural",
-    _T.ONION_ADDRESS: "structural",
-    _T.IBAN: "mod97",
-    _T.MAC_ADDRESS: "structural",
-    _T.REGKEY: "none",
-    _T.GOOGLE_ADSENSE: "none",
-    _T.GOOGLE_ANALYTICS: "none",
-}
-
-
 def load_tlds(path: str | Path) -> frozenset[str]:
     """Load a TLD snapshot: one TLD per line, lowercase, '#' comments allowed."""
     path = Path(path)
@@ -261,45 +234,43 @@ def is_valid_mac(value: str) -> bool:
 # ---------------------------------------------------------------------------
 # remaining structural checks
 
-_HEX_LENGTHS = {_T.MD5: 32, _T.SHA1: 40, _T.SHA256: 64, _T.SHA512: 128}
+_HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 _SSDEEP_RE = re.compile(r"\d{1,18}:[A-Za-z0-9/+]+:[A-Za-z0-9/+]+\Z")
 _ETHEREUM_RE = re.compile(r"0x[0-9a-fA-F]{40}\Z")
 _MONERO_RE = re.compile(r"[48][1-9A-HJ-NP-Za-km-z]{94}\Z")
 _ONION_RE = re.compile(r"(?:[a-z2-7]{16}|[a-z2-7]{56})\.onion\Z")
 
-
-def _make_hex_check(length: int):
-    pattern = re.compile(r"[0-9a-fA-F]{%d}\Z" % length)
-    return lambda value: bool(pattern.match(value))
-
-
-_DISPATCH = {
+#: The validation function of every type, called with the rearmed value
+#: and the TLD snapshot.
+_VALIDATORS = {
     _T.IP4: lambda v, tlds: is_valid_ip4(v),
     _T.IP4CIDR: lambda v, tlds: is_valid_ip4cidr(v),
     _T.IP6: lambda v, tlds: is_valid_ip6(v),
-    _T.FQDN: lambda v, tlds: is_valid_fqdn(v, tlds),
-    _T.URL: lambda v, tlds: is_valid_url(v, tlds),
-    _T.EMAIL: lambda v, tlds: is_valid_email(v, tlds),
-    _T.SSDEEP: lambda v, tlds: bool(_SSDEEP_RE.match(v)),
+    _T.FQDN: is_valid_fqdn,
+    _T.URL: is_valid_url,
+    _T.EMAIL: is_valid_email,
+    _T.MD5: lambda v, tlds: len(v) == 32 and _HEX_RE.match(v),
+    _T.SHA1: lambda v, tlds: len(v) == 40 and _HEX_RE.match(v),
+    _T.SHA256: lambda v, tlds: len(v) == 64 and _HEX_RE.match(v),
+    _T.SHA512: lambda v, tlds: len(v) == 128 and _HEX_RE.match(v),
+    _T.SSDEEP: lambda v, tlds: _SSDEEP_RE.match(v),
     _T.CVE: lambda v, tlds: True,
     _T.ASN: lambda v, tlds: is_valid_asn(v),
     _T.BITCOIN: lambda v, tlds: is_valid_bitcoin(v),
-    _T.ETHEREUM: lambda v, tlds: bool(_ETHEREUM_RE.match(v)),
-    _T.MONERO: lambda v, tlds: bool(_MONERO_RE.match(v)),
-    _T.ONION_ADDRESS: lambda v, tlds: bool(_ONION_RE.match(v)),
+    _T.ETHEREUM: lambda v, tlds: _ETHEREUM_RE.match(v),
+    _T.MONERO: lambda v, tlds: _MONERO_RE.match(v),
+    _T.ONION_ADDRESS: lambda v, tlds: _ONION_RE.match(v),
     _T.IBAN: lambda v, tlds: is_valid_iban(v),
     _T.MAC_ADDRESS: lambda v, tlds: is_valid_mac(v),
     _T.REGKEY: lambda v, tlds: True,
     _T.GOOGLE_ADSENSE: lambda v, tlds: True,
     _T.GOOGLE_ANALYTICS: lambda v, tlds: True,
 }
-for _hash_type, _length in _HEX_LENGTHS.items():
-    _check = _make_hex_check(_length)
-    _DISPATCH[_hash_type] = lambda v, tlds, _check=_check: _check(v)
 
 
 def validate(
     type: IndicatorType, rearmed: str, tlds: frozenset[str] = DEFAULT_TLDS
 ) -> bool:
-    """True iff the rearmed candidate passes the type's validation function."""
-    return _DISPATCH[type](rearmed, tlds)
+    """True iff the rearmed candidate is ASCII and passes the type's
+    validation function."""
+    return rearmed.isascii() and bool(_VALIDATORS[type](rearmed, tlds))

@@ -221,7 +221,7 @@ def test_6_filter_rule_isolation():
             assert blocking_rule(indicator, blocklist) == rule_name, rule_name
 
         universe = list(targets.values()) + boundary_pass + controls
-        iocs, generic = apply_filter(universe, "rss:feed-a", blocklist)
+        iocs, generic = apply_filter(universe, blocklist)
         expected_generic = set(targets.values())
         assert set(generic) == expected_generic  # precision = recall = 1.0
         assert set(iocs) == set(boundary_pass) | set(controls)

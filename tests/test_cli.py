@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from iockit import corpus, filtering
+from iockit import cli, corpus, filtering
 from iockit.cli import main
 from iockit.extractor import Extractor
 from iockit.types import Indicator, IndicatorType
@@ -116,14 +116,22 @@ class TestExtractCommand:
         )
         assert code == 2 and "line 1" in err
 
-    def test_doc_error_continues_exit_1(self, corpus_dir, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_doc_error_continues_exit_1(self, corpus_dir, capsys, jobs):
         manifest = corpus_dir / "broken.tsv"
         good = add_doc(corpus_dir, "ok.txt", "ip 8.8.8.8 here")
         manifest.write_text(f"{'0' * 64}\tmissing.txt\trss:x\ttext\n{good}\n")
-        code, out, err = run(capsys, "extract", "--manifest", str(manifest))
+        code, out, err = run(capsys, "extract", "--manifest", str(manifest), "--jobs", jobs)
         assert code == 1
         assert any(r["value"] == "8.8.8.8" for r in jlines(out))
         assert "missing" in err
+
+    def test_unreadable_doc_is_returned_not_raised(self, tmp_path):
+        # A document that vanishes after the manifest loads must not stop
+        # the map over the remaining documents, in a worker or in-process.
+        cli._worker_init(Extractor.default(), False)
+        gone = corpus.DocumentRecord("0" * 64, tmp_path / "gone.txt", ("rss:x",), "text")
+        assert isinstance(cli._extract_lines(gone), OSError)
 
     def test_out_file(self, corpus_dir, capsys):
         target = corpus_dir / "out.jsonl"
@@ -230,9 +238,7 @@ class TestFilterCommand:
         expected_iocs = []
         for record in records:
             iocs, _ = filtering.apply_filter(
-                sorted(by_doc[record.doc_id], key=Indicator.sort_key),
-                record.origins[0],
-                blocklist,
+                sorted(by_doc[record.doc_id], key=Indicator.sort_key), blocklist
             )
             for ind in iocs:
                 expected_iocs.append(
@@ -281,6 +287,80 @@ class TestFilterCommand:
             "--tranco", str(tmp_path / "missing.csv"),
         )
         assert code == 2
+
+
+    def filter_one_doc(self, tmp_path, tranco_file, capsys, indicator_lines, manifest_rows=()):
+        """Run filter over a document with 8.8.8.8, plus the given lines.
+        An indicator-free second document keeps 8.8.8.8 an IOC."""
+        row = add_doc(tmp_path, "d.txt", "ip 8.8.8.8 here", origin="rss:noname")
+        other = add_doc(tmp_path, "e.txt", "empty of indicators", origin="rss:noname")
+        doc_id = row.split("\t")[0]
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("\n".join([*manifest_rows, row, other]) + "\n")
+        indicators = tmp_path / "ind.jsonl"
+        good = json.dumps({"doc_id": doc_id, "type": "ip4", "value": "8.8.8.8"})
+        indicators.write_text("\n".join([*indicator_lines, good]) + "\n")
+        return run(
+            capsys, "filter", "--indicators", str(indicators), "--manifest", str(manifest),
+            "--tranco", str(tranco_file), "--generic-out", str(tmp_path / "generic.jsonl"),
+        )
+
+    def test_missing_document_continues_exit_1(self, tmp_path, tranco_file, capsys):
+        code, out, err = self.filter_one_doc(
+            tmp_path, tranco_file, capsys, [],
+            manifest_rows=[f"{'0' * 64}\tmoved.txt\trss:x\ttext"],
+        )
+        assert code == 1
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8"]
+        assert "moved.txt" in err
+        assert err.splitlines()[-1].startswith("total=1 iocs=1 generic=0")
+
+    def test_unknown_doc_id_is_an_error(self, tmp_path, tranco_file, capsys):
+        stray = json.dumps({"doc_id": "F" * 64, "type": "ip4", "value": "1.1.1.1"})
+        code, out, err = self.filter_one_doc(tmp_path, tranco_file, capsys, [stray])
+        assert code == 1
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8"]
+        assert f"unknown doc {'f' * 64}" in err
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("{bad", "bad JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"doc_id": "x", "value": "1.1.1.1"}', "missing key 'type'"),
+            ('{"type": "ip4", "value": "1.1.1.1"}', "missing key 'doc_id'"),
+            ('{"doc_id": "x", "type": "ip4", "value": 7}', "'value' is not a string"),
+        ],
+    )
+    def test_malformed_line_reported_with_location(
+        self, tmp_path, tranco_file, capsys, line, reason
+    ):
+        code, out, err = self.filter_one_doc(tmp_path, tranco_file, capsys, ["", line])
+        assert code == 1
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8"]
+        assert f"{tmp_path / 'ind.jsonl'}:2: {reason}" in err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("total=1 iocs=1 generic=0")
+
+    def test_malformed_stdin_line_named_dash(self, tmp_path, tranco_file, monkeypatch, capsys):
+        import io
+
+        row = add_doc(tmp_path, "d.txt", "nothing")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(row + "\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("{bad\n"))
+        code, _, err = run(
+            capsys, "filter", "--manifest", str(manifest), "--tranco", str(tranco_file),
+            "--generic-out", str(tmp_path / "generic.jsonl"),
+        )
+        assert code == 1
+        assert "iockit: -:1: bad JSON" in err
+
+    def test_unknown_type_is_not_an_error(self, tmp_path, tranco_file, capsys):
+        odd = json.dumps({"doc_id": "x", "type": "filename", "value": "a.exe"})
+        code, out, err = self.filter_one_doc(tmp_path, tranco_file, capsys, [odd, odd])
+        assert code == 0
+        assert err.count("'filename'") == 1
 
 
 def tool_line(tool, doc, type_, value):
@@ -424,3 +504,30 @@ class TestCompareCommand:
         assert "filename" in err
         report = json.loads(out)
         assert set(report["type_counts"]) == {"ip4"}
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("{bad", "bad JSON"),
+            ('"text"', "not a JSON object"),
+            (json.dumps({"tool": "a", "doc_id": "d1"}), "missing key 'type'"),
+            (json.dumps({"doc_id": "d1", "error": "crash"}), "missing key 'tool'"),
+            (json.dumps({"tool": "a", "doc_id": 1, "type": "ip4", "value": "1.1.1.1"}),
+             "'doc_id' is not a string"),
+        ],
+    )
+    def test_malformed_line_reported_with_location(self, tmp_path, capsys, line, reason):
+        out_dir = tmp_path / "outputs"
+        self.write_outputs(out_dir, {
+            "a": [tool_line("a", "d1", "ip4", "1.1.1.1"), line],
+            "b": [tool_line("b", "d1", "ip4", "1.1.1.1")],
+        })
+        profiles = tmp_path / "profiles.json"
+        self.write_profiles(profiles, {"a": ["ip4"], "b": ["ip4"]})
+        code, out, err = run(
+            capsys, "compare", "--outputs-dir", str(out_dir), "--profiles", str(profiles)
+        )
+        assert code == 1
+        assert f"{out_dir / 'a.jsonl'}:2: {reason}" in err
+        report = json.loads(out)
+        assert report["tools"]["a"]["types"]["ip4"]["tp"] == 1

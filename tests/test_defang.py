@@ -117,15 +117,6 @@ def test_load_rules_malformed(tmp_path):
         load_rules(path)
 
 
-def test_shipped_rule_file_matches_builtin(tmp_path):
-    from importlib.resources import files
-
-    shipped = files("iockit").joinpath("data", "defang_rules.tsv").read_text()
-    copy = tmp_path / "rules.tsv"
-    copy.write_text(shipped)
-    assert list(load_rules(copy)) == list(DEFAULT_CATALOG.rules)
-
-
 def test_catalog_is_data_driven():
     custom = DefangCatalog(
         [r for r in DEFAULT_CATALOG if r.id != "bracket_dot"]

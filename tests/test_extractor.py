@@ -213,6 +213,16 @@ class TestCatalogLoading:
         ex = Extractor.default().restrict([T.IP4])
         assert types_of(ex.extract_raw("1.2.3.4 a.com")) == [(T.IP4, "1.2.3.4")]
 
+    def test_pickled_handle_extracts_the_same(self, tmp_path):
+        # `extract --jobs N` sends the built handle to workers, pickled
+        # under the spawn and forkserver start methods.
+        import pickle
+
+        (tmp_path / "tlds.txt").write_text("test\n")
+        ex = load_catalog(default_catalog_path(), tmp_path / "tlds.txt").restrict([T.FQDN])
+        text = "see host.test and host.com"
+        assert pickle.loads(pickle.dumps(ex)).extract_raw(text) == ex.extract_raw(text)
+
     def test_custom_tld_file_drives_validation(self, tmp_path):
         catalog = tmp_path / "patterns.tsv"
         catalog.write_text(
@@ -284,6 +294,44 @@ def test_invariants_hold_on_arbitrary_text(text):
 def test_indicator_shaped_noise_never_crashes(text):
     for m in extract_raw(text):
         assert m.end <= len(text)
+
+
+@pytest.mark.parametrize(
+    "value,ind_type",
+    [
+        ("٩.٩.٩.٩", T.IP4),
+        ("９.９.９.９", T.IP4),
+        ("AS١٢٣", T.ASN),
+        ("CVE-٢٠٢١-٤٤٢٢٨", T.CVE),
+        ("UA-１２３４５-1", T.GOOGLE_ANALYTICS),
+    ],
+)
+def test_non_ascii_digits_rejected(value, ind_type):
+    from iockit.validators import validate
+
+    assert not validate(ind_type, value)
+    assert extract(f"seen {value} here") == []
+
+
+_DIGITS = "0123456789" "٠١٢٣٤٥٦٧٨٩" "０１２３４５６７８９"
+_DIGIT_SHAPES = ("#.#.#.#", "AS###", "CVE-####-####", "UA-#####-#", "pub-################")
+
+
+@st.composite
+def digit_shaped(draw):
+    """An indicator shape whose digits mix ASCII and other Unicode digits."""
+    shape = draw(st.sampled_from(_DIGIT_SHAPES))
+    digits = iter(draw(st.lists(st.sampled_from(_DIGITS), min_size=shape.count("#"),
+                                max_size=shape.count("#"))))
+    return "".join(next(digits) if ch == "#" else ch for ch in shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(digit_shaped() | st.text(max_size=20), max_size=8).map(" ".join))
+def test_emitted_values_are_ascii_normalization_fixpoints(text):
+    for ind in extract(text):
+        assert ind.value.isascii(), ind
+        assert normalize(ind.type, ind.value) == ind.value, ind
 
 
 def test_extracted_indicators_satisfy_own_contract(rng, forge):

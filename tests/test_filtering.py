@@ -122,7 +122,7 @@ class TestTranco:
 
 class TestApplyFilter:
     def test_private_ip_generic(self):
-        iocs, generic = apply_filter([ind(T.IP4, "192.168.1.1")], "rss:a", empty_blocklist())
+        iocs, generic = apply_filter([ind(T.IP4, "192.168.1.1")], empty_blocklist())
         assert iocs == [] and generic == [ind(T.IP4, "192.168.1.1")]
 
     @pytest.mark.parametrize(
@@ -182,7 +182,7 @@ class TestApplyFilter:
     def test_partition_total_and_disjoint(self, rng, forge):
         blocklist = empty_blocklist(popular_domains=load_tranco(SHIPPED_TRANCO))
         indicators = [ind(t, forge.value(t)) for t in T for _ in range(3)]
-        iocs, generic = apply_filter(indicators, "rss:a", blocklist)
+        iocs, generic = apply_filter(indicators, blocklist)
         assert len(iocs) + len(generic) == len(indicators)
         assert set(iocs).isdisjoint(set(generic))
 
@@ -193,8 +193,8 @@ class TestApplyFilter:
             popular_domains=load_tranco(SHIPPED_TRANCO),
             ubiquitous=frozenset((i.type, i.value) for i in indicators[:5]),
         )
-        _, generic_small = apply_filter(indicators, "rss:a", small)
-        _, generic_big = apply_filter(indicators, "rss:a", big)
+        _, generic_small = apply_filter(indicators, small)
+        _, generic_big = apply_filter(indicators, big)
         assert set(generic_small) <= set(generic_big)
 
 

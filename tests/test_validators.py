@@ -6,7 +6,6 @@ from iockit.types import IndicatorType
 from iockit.validators import (
     DEFAULT_TLDS,
     IBAN_LENGTHS,
-    VALIDATOR_KINDS,
     base58check_decode,
     is_valid_bitcoin,
     is_valid_fqdn,
@@ -152,13 +151,6 @@ def test_load_tlds(tmp_path):
 )
 def test_validate_dispatch(ind_type, value, expected):
     assert validate(ind_type, value) is expected
-
-
-def test_every_type_has_exactly_one_validator_kind():
-    assert set(VALIDATOR_KINDS) == set(IndicatorType)
-    allowed = {"none", "tld_lookup", "base58check", "hex_checksum", "mod97",
-               "range_check", "structural"}
-    assert set(VALIDATOR_KINDS.values()) <= allowed
 
 
 def test_generated_values_all_validate(forge):
