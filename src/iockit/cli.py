@@ -3,7 +3,8 @@ apply the dynamic-blocklist filter, and compare tool outputs.
 
 Data goes to stdout (or --out) as JSON lines; diagnostics go to stderr.
 Exit codes: 0 success, 1 per-item errors (documents or input lines
-skipped, processing continued), 2 unusable inputs.
+skipped, processing continued), 2 unusable inputs or an output file that
+cannot be opened.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, filtering, harness
-from .errors import IockitError, UnknownTypeError
+from .errors import IockitError, OutputFileError, UnknownTypeError
 from .extractor import Extractor, default_catalog_path, default_tld_path, load_catalog
 from .normalize import normalize
 from .types import Indicator, IndicatorType, normalize_type_name
@@ -28,12 +29,19 @@ def _err(message: str) -> None:
 
 @contextlib.contextmanager
 def _open(path, mode: str = "r"):
-    """The named file, or stdin/stdout for None or '-' (left open)."""
+    """The named file, or stdin/stdout for None or '-' (left open). An
+    output file that cannot be opened raises OutputFileError."""
     if path in (None, "-"):
         yield sys.stdin if mode == "r" else sys.stdout
-    else:
-        with open(path, mode, encoding="utf-8") as stream:
-            yield stream
+        return
+    try:
+        stream = open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        if mode == "r":
+            raise
+        raise OutputFileError(path, exc.strerror) from None
+    with stream:
+        yield stream
 
 
 def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
@@ -305,7 +313,8 @@ def cmd_compare(args) -> int:
     with _open(args.out, "w") as out:
         print(harness.report_to_json(report), file=out)
     if args.csv:
-        Path(args.csv).write_text(harness.render_csv(report), encoding="utf-8")
+        with _open(args.csv, "w") as stream:
+            stream.write(harness.render_csv(report))
     return 1 if malformed else 0
 
 
@@ -373,7 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputFileError as exc:
+        _err(str(exc))
+        return 2
 
 
 if __name__ == "__main__":

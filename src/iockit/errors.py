@@ -21,6 +21,14 @@ class MissingFileError(IockitError):
         self.path = str(path)
 
 
+class OutputFileError(IockitError):
+    """An output file cannot be opened for writing."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = str(path)
+
+
 class CatalogParseError(IockitError):
     """A pattern catalog line is malformed or does not compile."""
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 import re
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .defang import DEFAULT_CATALOG, DefangCatalog
 from .errors import CatalogParseError, MissingFileError
 from .normalize import normalize
-from .patterns import PatternEntry, default_entries
+from .patterns import GATES, HEX_RUN, HEX_RUNS, PatternEntry, default_entries
 from .types import Indicator, IndicatorType, RawMatch
 from .validators import DEFAULT_TLDS, load_tlds, validate
 
@@ -32,11 +32,23 @@ def _trim_trailing(raw: str) -> str:
     return raw
 
 
+def _hex_shape(raw: str) -> tuple[str, int]:
+    """The (prefix, hex digits) shape of a ``HEX_RUN`` match."""
+    prefix = raw[:2] if raw.startswith("0x") else ""
+    return prefix, len(raw) - len(prefix)
+
+
 class Extractor:
     """Immutable extraction handle; safe to share across workers.
 
     Holds the compiled pattern catalog, the TLD snapshot used by lookup
     validators, and the defang rule catalog used to rearm matches.
+
+    The catalog is compiled into a scan plan (see ``patterns``): each entry
+    whose expression has a gate runs only on text holding a gate literal,
+    and the built-in fixed-length hex expressions share one ``HEX_RUN``
+    pass. Every other entry runs as written. Results are those of one
+    ``finditer`` pass per entry.
     """
 
     def __init__(
@@ -47,9 +59,19 @@ class Extractor:
         validation: bool = True,
     ):
         self._entries = tuple(sorted(entries, key=lambda e: e.priority))
-        self._compiled = tuple(
-            (entry, re.compile(entry.expression)) for entry in self._entries
-        )
+        # (pattern, gate literals, type) of each pass that runs on its own.
+        passes = []
+        # Shape of a HEX_RUN match -> its type, for the entries sharing it.
+        self._hex_types: dict[tuple[str, int], IndicatorType] = {}
+        for entry in self._entries:
+            shape = HEX_RUNS.get(entry.expression)
+            if shape is not None and shape not in self._hex_types:
+                self._hex_types[shape] = entry.type
+            else:
+                gate = GATES.get(entry.expression, ())
+                passes.append((re.compile(entry.expression), gate, entry.type))
+        self._passes = tuple(passes)
+        self._hex_run = re.compile(HEX_RUN) if self._hex_types else None
         self._tlds = frozenset(tlds)
         self._defang = defang_catalog
         self._validation = validation
@@ -90,23 +112,37 @@ class Extractor:
         reported, e.g. a URL and the domain embedded in it.
         """
         per_type: dict[IndicatorType, list[RawMatch]] = {}
-        for entry, compiled in self._compiled:
-            bucket = per_type.setdefault(entry.type, [])
-            for m in compiled.finditer(text):
-                raw = m.group(0)
-                if entry.type in _TRIMMED_TYPES:
-                    raw = _trim_trailing(raw)
-                    if not raw:
-                        continue
-                rearmed = self._defang.rearm(raw, entry.type)
-                if self._validation and not validate(entry.type, rearmed, self._tlds):
+        for ind_type, m in self._scan(text):
+            raw = m.group(0)
+            if ind_type in _TRIMMED_TYPES:
+                raw = _trim_trailing(raw)
+                if not raw:
                     continue
-                bucket.append(RawMatch(entry.type, m.start(), raw, rearmed))
+            rearmed = self._defang.rearm(raw, ind_type)
+            if self._validation and not validate(ind_type, rearmed, self._tlds):
+                continue
+            per_type.setdefault(ind_type, []).append(
+                RawMatch(ind_type, m.start(), raw, rearmed)
+            )
         results: list[RawMatch] = []
         for matches in per_type.values():
             results.extend(_drop_same_type_overlaps(matches))
         results.sort(key=lambda r: (r.start, r.type.value))
         return results
+
+    def _scan(self, text: str) -> Iterator[tuple[IndicatorType, re.Match[str]]]:
+        """Every pattern match in ``text`` with its type, pass by pass."""
+        lowered = text.lower()
+        for pattern, gate, ind_type in self._passes:
+            if gate and not any(literal in lowered for literal in gate):
+                continue
+            for m in pattern.finditer(text):
+                yield ind_type, m
+        if self._hex_run is not None:
+            for m in self._hex_run.finditer(text):
+                ind_type = self._hex_types.get(_hex_shape(m.group(0)))
+                if ind_type is not None:
+                    yield ind_type, m
 
     def extract(self, text: str) -> list[Indicator]:
         """Deduplicated projection of extract_raw by (type, normalized value),

@@ -11,6 +11,20 @@ adversarial input under a backtracking engine:
 Nested unbounded quantifiers and lookbehind-heavy forms are avoided; the
 test suite enforces a time budget on adversarial inputs for every entry.
 The URL backslash obfuscation is deliberately unsupported.
+
+The extractor skips passes that cannot match. Both tables below are keyed
+by expression source, so a catalog file that repeats a built-in expression
+gets the same treatment, and any other expression runs as written:
+
+* ``GATES``: a gate is a set of lowercase literals such that the lowered
+  text of every match of the expression contains one of them. The pass
+  runs only when one of them occurs in ``text.lower()``. So a gate letter
+  inside ``(?i:...)`` may only be one that IGNORECASE equates with code
+  points that lower to it: ``k`` qualifies (U+212A, the Kelvin sign, lowers
+  to ``k``), ``i`` and ``s`` do not (U+0131 and U+017F).
+* ``HEX_RUNS``: the guarded fixed-length hex expressions. They share one
+  ``HEX_RUN`` pass; a match goes to the type whose ``(prefix, digits)`` it
+  has, and is dropped when no type held by the extractor has that shape.
 """
 from __future__ import annotations
 
@@ -101,13 +115,60 @@ class PatternEntry:
     priority: int
 
 
+_DEFANGED = (_DOT, _AT, _SCHEME, _SEP)
+_PLAIN = (_PLAIN_DOT, _PLAIN_AT, _PLAIN_SCHEME, _PLAIN_SEP)
+
+
 def default_entries(defanged: bool = True) -> list[PatternEntry]:
     """The built-in catalog, broadened for defang transformations by default."""
-    if defanged:
-        sources = _sources(_DOT, _AT, _SCHEME, _SEP)
-    else:
-        sources = _sources(_PLAIN_DOT, _PLAIN_AT, _PLAIN_SCHEME, _PLAIN_SEP)
+    sources = _sources(*(_DEFANGED if defanged else _PLAIN))
     return [
         PatternEntry(t, sources[t], priority)
         for priority, t in enumerate(sorted(sources, key=lambda t: t.value))
     ]
+
+
+#: Gate literals of the built-in expressions, by type. Types left out
+#: (ip4, fqdn, asn, iban, bitcoin, monero) have no literal every match holds.
+_GATE_LITERALS: dict[IndicatorType, tuple[str, ...]] = {
+    _T.CVE: ("cve-",),
+    _T.GOOGLE_ANALYTICS: ("ua-",),
+    _T.GOOGLE_ADSENSE: ("pub-",),
+    _T.REGKEY: ("hk",),
+    _T.ONION_ADDRESS: (".onion",),
+    _T.IP6: (":",),
+    _T.SSDEEP: (":",),
+    _T.MAC_ADDRESS: (":", "-"),
+    _T.IP4CIDR: ("/",),
+    _T.URL: ("//",),
+    _T.EMAIL: ("@", "[at]", "(at)", "_at_"),
+}
+
+#: The (prefix, hex digits) shape of each fixed-length hex type.
+_HEX_SHAPES: dict[IndicatorType, tuple[str, int]] = {
+    _T.MD5: ("", 32),
+    _T.SHA1: ("", 40),
+    _T.SHA256: ("", 64),
+    _T.SHA512: ("", 128),
+    _T.ETHEREUM: ("0x", 40),
+}
+
+#: One pass that finds every match of the ``HEX_RUNS`` expressions: a guarded
+#: run of 32-128 hex digits, ``0x``-prefixed or not.
+HEX_RUN = rf"{_HEX_GUARD_L}(?:0x)?[0-9a-fA-F]{{32,128}}{_HEX_GUARD_R}"
+
+
+def _by_source(by_type: dict) -> dict:
+    """``by_type`` keyed by each type's expression source, in both variants."""
+    return {
+        source: by_type[t]
+        for variant in (_DEFANGED, _PLAIN)
+        for t, source in _sources(*variant).items()
+        if t in by_type
+    }
+
+
+#: Expression source -> gate literals.
+GATES: dict[str, tuple[str, ...]] = _by_source(_GATE_LITERALS)
+#: Expression source -> the (prefix, hex digits) shape of its matches.
+HEX_RUNS: dict[str, tuple[str, int]] = _by_source(_HEX_SHAPES)

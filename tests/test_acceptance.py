@@ -24,6 +24,7 @@ from iockit.harness import (
     metrics,
 )
 from iockit.normalize import normalize
+from iockit.patterns import HEX_RUN
 from iockit.types import Indicator, IndicatorType
 from iockit.validators import is_valid_bitcoin, is_valid_iban, validate
 
@@ -256,12 +257,20 @@ ADVERSARIAL_SEEDS = {
 }
 
 
+# Near misses of the shared hex-run pass: a run one digit too long, and
+# 0x-prefixed runs one digit short of md5 and one past ethereum.
+HEX_RUN_STRESSORS = ("0" * 129 + "!", "0x" + "0" * 31 + "!", "0x" + "0" * 41 + "!")
+
+
+def _repeat(seed: str, size: int) -> str:
+    return (seed * (size // len(seed) + 1))[:size]
+
+
 def _adversarial_input(ind_type: IndicatorType, size: int) -> str:
-    seed = ADVERSARIAL_SEEDS[ind_type]
-    body = seed * (size // len(seed) + 1)
+    body = _repeat(ADVERSARIAL_SEEDS[ind_type], size)
     if ind_type is T.URL:
         return "http://" + body[: size - 7]
-    return body[:size]
+    return body
 
 
 def _scan_time(pattern: re.Pattern, text: str) -> float:
@@ -288,9 +297,17 @@ def _scan_time(pattern: re.Pattern, text: str) -> float:
 def test_7_matching_time_budget():
     with criterion("7 matching-time-budget", budget_seconds=120):
         sizes = (1 << 16, 1 << 17, 1 << 18)
-        for entry in Extractor.default().entries:
-            pattern = re.compile(entry.expression)
-            inputs = [_adversarial_input(entry.type, size) for size in sizes]
+        cases = [
+            (entry.type, re.compile(entry.expression),
+             [_adversarial_input(entry.type, size) for size in sizes])
+            for entry in Extractor.default().entries
+        ]
+        cases += [
+            (("HEX_RUN", seed), re.compile(HEX_RUN),
+             [_repeat(seed, size) for size in sizes])
+            for seed in HEX_RUN_STRESSORS
+        ]
+        for label, pattern, inputs in cases:
             # Re-measure on a failed ratio before declaring superlinearity:
             # minute absolute times make single trials jitter-prone.
             for attempt in range(3):
@@ -299,9 +316,9 @@ def test_7_matching_time_budget():
                 if all(r <= 3.0 for r in ratios):
                     break
             for size, elapsed in zip(sizes, times):
-                assert elapsed < 1.0, (entry.type, size, elapsed)
+                assert elapsed < 1.0, (label, size, elapsed)
             for ratio in ratios:
-                assert ratio <= 3.0, (entry.type, times)
+                assert ratio <= 3.0, (label, times)
 
 
 def test_8_degradation_ranking():

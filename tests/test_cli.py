@@ -531,3 +531,32 @@ class TestCompareCommand:
         assert f"{out_dir / 'a.jsonl'}:2: {reason}" in err
         report = json.loads(out)
         assert report["tools"]["a"]["types"]["ip4"]["tp"] == 1
+
+
+def _argv_writing_to(command, directory, tranco_file, target):
+    """A run of ``command`` on a well-formed input whose output file is ``target``."""
+    manifest = str(directory / "manifest.tsv")
+    if command == "extract":
+        return ["extract", "--manifest", manifest, "--out", str(target)]
+    if command == "filter":
+        empty = directory / "empty.jsonl"
+        empty.write_text("")
+        return ["filter", "--indicators", str(empty), "--manifest", manifest,
+                "--tranco", str(tranco_file), "--generic-out", str(target)]
+    outputs = directory / "outputs"
+    TestCompareCommand().write_outputs(outputs, {
+        "a": [tool_line("a", "d1", "ip4", "1.1.1.1")],
+        "b": [tool_line("b", "d1", "ip4", "1.1.1.1")],
+    })
+    profiles = directory / "profiles.json"
+    profiles.write_text(json.dumps({"a": ["ip4"], "b": ["ip4"]}))
+    return ["compare", "--outputs-dir", str(outputs), "--profiles", str(profiles),
+            "--csv", str(target)]
+
+
+@pytest.mark.parametrize("command", ["extract", "filter", "compare"])
+def test_unopenable_output_path_exit_2(corpus_dir, tranco_file, capsys, command):
+    target = corpus_dir / "no-such-dir" / "out"
+    code, _, err = run(capsys, *_argv_writing_to(command, corpus_dir, tranco_file, target))
+    assert code == 2
+    assert err == f"iockit: {target}: No such file or directory\n"

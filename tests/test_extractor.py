@@ -1,9 +1,15 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iockit.defang import rearm
 from iockit.errors import CatalogParseError, MissingFileError
 from iockit.extractor import (
     Extractor,
+    _drop_same_type_overlaps,
+    _trim_trailing,
     default_catalog_path,
     default_tld_path,
     extract,
@@ -12,10 +18,11 @@ from iockit.extractor import (
     parse_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import default_entries
-from iockit.types import Indicator, IndicatorType
+from iockit.patterns import GATES, HEX_RUNS, default_entries
+from iockit.types import Indicator, IndicatorType, RawMatch
+from iockit.validators import validate
 
-from conftest import plant_text, render
+from conftest import ValueForge, plant_text, render
 
 T = IndicatorType
 
@@ -178,6 +185,13 @@ class TestCatalogLoading:
         shipped = load_catalog(default_catalog_path(), default_tld_path())
         built = {(e.type, e.expression) for e in default_entries(defanged=True)}
         assert {(e.type, e.expression) for e in shipped.entries} == built
+        # The CLI's default extractor parses the shipped file, so its scan
+        # is planned only while the file's expressions are the builder's.
+        # The plain variant's expressions are planned too.
+        ungated = {T.IP4, T.FQDN, T.ASN, T.IBAN, T.BITCOIN, T.MONERO}
+        for entries in (shipped.entries, default_entries(defanged=False)):
+            planned = {e.type for e in entries if e.expression in GATES or e.expression in HEX_RUNS}
+            assert planned == set(T) - ungated
 
     def test_bad_regex_reports_line_number(self, tmp_path):
         lines = ["# header"] + [f"md5\t[0-9a-f]{{{n}}}" for n in range(32, 37)] + ["url\t(unclosed"]
@@ -352,3 +366,121 @@ def test_deterministic_across_runs(rng, forge):
     second = extract_raw(text)
     assert first == second
     assert extract(text) == extract(text)
+
+
+def reference_extract_raw(extractor, text, validation=True):
+    """extract_raw as one finditer pass per entry, with no gate and no
+    shared pass: the scan the planned one must reproduce."""
+    per_type = {}
+    for entry in extractor.entries:
+        for m in re.finditer(entry.expression, text):
+            raw = m.group(0)
+            if entry.type in (T.URL, T.REGKEY):
+                raw = _trim_trailing(raw)
+                if not raw:
+                    continue
+            rearmed = rearm(raw, entry.type)
+            if validation and not validate(entry.type, rearmed, extractor.tlds):
+                continue
+            per_type.setdefault(entry.type, []).append(
+                RawMatch(entry.type, m.start(), raw, rearmed)
+            )
+    results = [m for matches in per_type.values() for m in _drop_same_type_overlaps(matches)]
+    return sorted(results, key=lambda r: (r.start, r.type.value))
+
+
+_BUILT_IN = {e.type: e.expression for e in default_entries()}
+#: The md5 expression under two types: the second runs as its own pass.
+_HEX_TWICE = (
+    f"md5\t{_BUILT_IN[T.MD5]}\nsha1\t{_BUILT_IN[T.MD5]}\nethereum\t{_BUILT_IN[T.ETHEREUM]}\n"
+)
+
+#: Extractors whose planned scan is checked: name -> (factory, validation).
+PLANNED = {
+    "default": (Extractor.default, True),
+    "plain": (lambda: Extractor.default(defanged=False), True),
+    "no-validation": (lambda: Extractor.default(validation=False), False),
+    "shipped": (lambda: load_catalog(default_catalog_path(), default_tld_path()), True),
+    "md5": (lambda: Extractor.default().restrict([T.MD5]), True),
+    "ethereum": (lambda: Extractor.default().restrict([T.ETHEREUM]), True),
+    "sha1+ethereum": (lambda: Extractor.default().restrict([T.SHA1, T.ETHEREUM]), True),
+    "md5+sha512": (lambda: Extractor.default().restrict([T.MD5, T.SHA512]), True),
+    "hex-twice": (lambda: Extractor(parse_catalog(_HEX_TWICE), validation=False), False),
+}
+
+
+@pytest.fixture(scope="module")
+def planted_corpus():
+    """200 documents of planted values, some defanged, covering every type."""
+    import random
+
+    rng = random.Random(0x5CA9)
+    forge = ValueForge(rng)
+    types = list(T)
+    docs = []
+    for i in range(200):
+        wanted = types[(3 * i) % len(types):][:3] + rng.choices(types, k=rng.randint(2, 6))
+        docs.append(plant_text(rng, [(t, render(rng, t, forge.value(t))) for t in wanted]))
+    return docs
+
+
+@pytest.mark.parametrize("name", PLANNED)
+def test_planned_scan_matches_reference_on_corpus(name, planted_corpus):
+    factory, validation = PLANNED[name]
+    extractor = factory()
+    for text in planted_corpus:
+        assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+
+
+_HEX = "0123456789abcdefABCDEF"
+#: Gate literals and their near misses, the code points IGNORECASE equates
+#: with k and s, and a full-width stop.
+_GATE_PIECES = (
+    ":", "/", "@", "-", "_at_", "[at]", "(at)", "0x", "HK", "hk", ".", ",",
+    "CVE-", "UA-", "pub-", "\u212a", "\u017f", "\u3002", " ", "\\", "LM", "http", "onion",
+)
+#: One whole value of each gated type.
+_GATED_VALUES = (
+    "CVE-2021-44228", "cve-2021-4422", "UA-4422107-1", "pub-1234567890123456",
+    "HKLM\\Run", "H\u212aCU\\Run", "0A:1b:2C:3d:4E:5f", "0a-1b-2c-3d-4e-5f",
+    "10.0.0.0/8", "fe80::1", "3072:AXGBicFlgVNh:AXGHsN", "ops@crew.net",
+    "ops[at]crew(.)net", "hxxp[:]//bad[.]io/x", "expyuzz4wqqyqhjn.onion",
+)
+#: Hex runs around each hex type's length.
+_hex_run = st.sampled_from((16, 31, 32, 33, 40, 41, 64, 128, 129)).flatmap(
+    lambda n: st.text(_HEX, min_size=n, max_size=n)
+)
+gate_shaped = st.lists(
+    st.sampled_from(_GATE_PIECES)
+    | st.sampled_from(_GATED_VALUES)
+    | st.text(_HEX, max_size=6)
+    | _hex_run,
+    max_size=30,
+).map("".join)
+
+
+@pytest.mark.parametrize("name", PLANNED)
+@settings(max_examples=100, deadline=None)
+@given(text=gate_shaped)
+def test_planned_scan_matches_reference_on_gate_shaped_text(name, text):
+    factory, validation = PLANNED[name]
+    extractor = factory()
+    assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+
+
+def test_gate_letters_lower_to_themselves():
+    # A gate is tested on text.lower(), so inside (?i:...) every code point
+    # that matches a gate letter must lower to that letter.
+    letters = {
+        ch
+        for expression, gate in GATES.items()
+        if "(?i" in expression
+        for literal in gate
+        for ch in literal
+        if ch.isalpha()
+    }
+    assert letters >= set("cvuapbhk")
+    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in sorted(letters):
+        for m in re.finditer("(?i)" + letter, every_code_point):
+            assert m.group().lower() == letter, (letter, hex(ord(m.group())))
