@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -28,20 +29,41 @@ def _err(message: str) -> None:
 
 
 @contextlib.contextmanager
-def _open(path, mode: str = "r"):
-    """The named file, or stdin/stdout for None or '-' (left open). An
-    output file that cannot be opened raises OutputFileError."""
+def _open(path):
+    """The named file for reading, or stdin for None or '-' (left open)."""
     if path in (None, "-"):
-        yield sys.stdin if mode == "r" else sys.stdout
+        yield sys.stdin
         return
-    try:
-        stream = open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        if mode == "r":
-            raise
-        raise OutputFileError(path, exc.strerror) from None
-    with stream:
+    with open(path, encoding="utf-8") as stream:
         yield stream
+
+
+@contextlib.contextmanager
+def _open_outputs(*paths):
+    """A stream to write for each path, stdout for None or '-' (left open).
+    Every file is opened before any is truncated: when one cannot be
+    opened, OutputFileError is raised, the others keep their content, and
+    those this call created are removed."""
+    with contextlib.ExitStack() as stack:
+        streams, created = [], []
+        for path in paths:
+            if path in (None, "-"):
+                streams.append(sys.stdout)
+                continue
+            existed = os.path.lexists(path)
+            try:
+                streams.append(stack.enter_context(open(path, "a", encoding="utf-8")))
+            except OSError as exc:
+                stack.close()
+                for new in created:
+                    Path(new).unlink(missing_ok=True)
+                raise OutputFileError(path, exc.strerror) from None
+            if not existed:
+                created.append(path)
+        for stream in streams:
+            if stream is not sys.stdout and stream.seekable():
+                stream.truncate(0)
+        yield streams
 
 
 def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
@@ -177,7 +199,7 @@ def cmd_extract(args) -> int:
         _err(str(exc))
         return 2
 
-    with _open(args.out, "w") as out, contextlib.ExitStack() as stack:
+    with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
         if args.jobs > 1:
             pool = ProcessPoolExecutor(
                 args.jobs, initializer=_worker_init, initargs=(extractor, args.raw)
@@ -224,7 +246,7 @@ def cmd_filter(args) -> int:
 
     rule_counts: Counter = Counter()
     totals = Counter()
-    with _open(args.out, "w") as ioc_out, _open(args.generic_out, "w") as generic_out:
+    with _open_outputs(args.out, args.generic_out) as (ioc_out, generic_out):
         for record in records:
             indicators = sorted(by_doc.get(record.doc_id, set()), key=Indicator.sort_key)
             for indicator in indicators:
@@ -310,10 +332,10 @@ def cmd_compare(args) -> int:
         _err(f"{type(exc).__name__}: {exc}")
         return 2
 
-    with _open(args.out, "w") as out:
+    csv_paths = [args.csv] if args.csv else []
+    with _open_outputs(args.out, *csv_paths) as (out, *csv):
         print(harness.report_to_json(report), file=out)
-    if args.csv:
-        with _open(args.csv, "w") as stream:
+        for stream in csv:
             stream.write(harness.render_csv(report))
     return 1 if malformed else 0
 

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
+from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -133,8 +135,80 @@ class _TextExtractor(HTMLParser):
             self._pending_break = False
         self._chunks.append(data)
 
+    def parse_marked_section(self, i, report=1):
+        # The stdlib raises AssertionError on a marked section it cannot
+        # parse (`<![ x`, `<![foo[`). Reported as unterminated instead, the
+        # section is passed on as text by close() and parsing resumes after
+        # it.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return -1
+
     def text(self) -> str:
         return "".join(self._chunks)
+
+
+# The strict subset of HTML that ``_feed_subset`` tokenizes. Whitespace
+# inside tags is these five ASCII characters only: HTMLParser's tag name
+# runs on through any other whitespace, while a bare attribute value ends
+# at any ``\s``.
+_WS = r"[\t\n\r\f ]"
+_NAME = r"[a-zA-Z][-.a-zA-Z0-9:_]*+"
+_ATTR = rf"""{_WS}++[^\s"'<>/=]++(?:{_WS}*+={_WS}*+(?:"[^"]*+"|'[^']*+'|[^\s"'<>=`]++))?+"""
+#: A run of text (group 1) and the markup token after it: a start tag
+#: (name in group 2, ``/`` of a self-closing tag in group 3), an end tag
+#: (name in group 4), a comment with no ``--`` inside, a doctype, or the
+#: end of the document. A bare attribute value takes a ``/`` before the
+#: ``>``, as in HTMLParser: ``<script src=x/>`` is a start tag.
+_TOKEN = re.compile(
+    r"([^<]*+)(?:"
+    rf"<({_NAME})(?:{_ATTR})*+{_WS}*+(/?)>"
+    rf"|</({_NAME}){_WS}*+>"
+    r"|<!--(?:[^-]++|-(?!-))*+-->"
+    r"|<![Dd][Oo][Cc][Tt][Yy][Pp][Ee][^>]*+>"
+    r"|\Z)"
+)
+#: HTMLParser's own end of a script or style element's raw content.
+_RAW_TEXT_END = {
+    tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in HTMLParser.CDATA_CONTENT_ELEMENTS
+}
+
+
+def _feed_subset(parser: _TextExtractor, html: str) -> bool:
+    """Drive ``parser``'s callbacks over ``html`` as ``HTMLParser.feed``
+    and ``close`` would, or return False on markup outside ``_TOKEN``'s
+    subset; the parser must then be discarded. Attributes are not parsed:
+    the callbacks get none."""
+    pos, end = 0, len(html)
+    while pos < end:
+        m = _TOKEN.match(html, pos)
+        if m is None:
+            return False
+        text, start, slash, end_tag = m.groups()
+        if text:
+            parser.handle_data(unescape(text))
+        pos = m.end()
+        if start:
+            tag = start.lower()
+            if slash:
+                parser.handle_startendtag(tag, [])
+                continue
+            parser.handle_starttag(tag, [])
+            raw_end = _RAW_TEXT_END.get(tag)
+            if raw_end is None:
+                continue
+            close = raw_end.search(html, pos)
+            # HTMLParser takes a non-ASCII match (`</ſcript>`) as text.
+            if close is None or not close.group().isascii():
+                return False
+            if close.start() > pos:
+                parser.handle_data(html[pos : close.start()])
+            parser.handle_endtag(tag)
+            pos = close.end()
+        elif end_tag:
+            parser.handle_endtag(end_tag.lower())
+    return True
 
 
 def extract_text(html: str) -> str:
@@ -144,8 +218,14 @@ def extract_text(html: str) -> str:
     block elements separated by newlines. Text node content is emitted
     verbatim so indicators contiguous in the source are never split;
     markup-free input passes through unchanged.
+
+    Documents within a strict subset of HTML are tokenized by one regular
+    expression; any other document is parsed by ``HTMLParser``. The text
+    is the same either way.
     """
     parser = _TextExtractor()
-    parser.feed(html)
-    parser.close()
+    if not _feed_subset(parser, html):
+        parser = _TextExtractor()
+        parser.feed(html)
+        parser.close()
     return parser.text()

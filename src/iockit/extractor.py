@@ -47,8 +47,8 @@ class Extractor:
     The catalog is compiled into a scan plan (see ``patterns``): each entry
     whose expression has a gate runs only on text holding a gate literal,
     and the built-in fixed-length hex expressions share one ``HEX_RUN``
-    pass. Every other entry runs as written. Results are those of one
-    ``finditer`` pass per entry.
+    pass when they have two or more shapes. Every other entry runs as
+    written. Results are those of one ``finditer`` pass per entry.
     """
 
     def __init__(
@@ -62,10 +62,12 @@ class Extractor:
         # (pattern, gate literals, type) of each pass that runs on its own.
         passes = []
         # Shape of a HEX_RUN match -> its type, for the entries sharing it.
+        # One shape alone runs its own expression, which is cheaper.
         self._hex_types: dict[tuple[str, int], IndicatorType] = {}
+        shared = len({HEX_RUNS.get(e.expression) for e in self._entries} - {None}) > 1
         for entry in self._entries:
             shape = HEX_RUNS.get(entry.expression)
-            if shape is not None and shape not in self._hex_types:
+            if shared and shape is not None and shape not in self._hex_types:
                 self._hex_types[shape] = entry.type
             else:
                 gate = GATES.get(entry.expression, ())

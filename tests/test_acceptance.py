@@ -12,6 +12,7 @@ import re
 import time
 from contextlib import contextmanager
 
+from iockit.corpus import _feed_subset, _TextExtractor
 from iockit.defang import DEFAULT_CATALOG, defang, rearm
 from iockit.extractor import Extractor
 from iockit.filtering import CorpusStats, apply_filter, blocking_rule, build_blocklist
@@ -262,6 +263,15 @@ ADVERSARIAL_SEEDS = {
 HEX_RUN_STRESSORS = ("0" * 129 + "!", "0x" + "0" * 31 + "!", "0x" + "0" * 41 + "!")
 
 
+# Markup the HTML tokenizer must give up on: a tag with no ``>``, an
+# unterminated comment, and script content with no end tag.
+TOKENIZER_STRESSORS = (
+    ("<a", ' b=c d="e"'),
+    ("<!--", "- a "),
+    ("<script>", "</ scrip"),
+)
+
+
 def _repeat(seed: str, size: int) -> str:
     return (seed * (size // len(seed) + 1))[:size]
 
@@ -273,13 +283,23 @@ def _adversarial_input(ind_type: IndicatorType, size: int) -> str:
     return body
 
 
-def _scan_time(pattern: re.Pattern, text: str) -> float:
-    """Seconds for one finditer pass: best of 4 trials, each averaging
+def _finditer(pattern: re.Pattern):
+    def scan(text):
+        for _ in pattern.finditer(text):
+            pass
+    return scan
+
+
+def _tokenize(text: str) -> None:
+    assert not _feed_subset(_TextExtractor(), text)
+
+
+def _scan_time(scan, text: str) -> float:
+    """Seconds for one ``scan(text)``: best of 4 trials, each averaging
     enough repetitions to rise above timer noise."""
     def once():
         start = time.perf_counter()
-        for _ in pattern.finditer(text):
-            pass
+        scan(text)
         return time.perf_counter() - start
 
     estimate = min(once(), once())
@@ -288,8 +308,7 @@ def _scan_time(pattern: re.Pattern, text: str) -> float:
     for _ in range(4):
         start = time.perf_counter()
         for _ in range(reps):
-            for _ in pattern.finditer(text):
-                pass
+            scan(text)
         best = min(best, (time.perf_counter() - start) / reps)
     return best
 
@@ -298,25 +317,31 @@ def test_7_matching_time_budget():
     with criterion("7 matching-time-budget", budget_seconds=120):
         sizes = (1 << 16, 1 << 17, 1 << 18)
         cases = [
-            (entry.type, re.compile(entry.expression),
+            (entry.type, _finditer(re.compile(entry.expression)),
              [_adversarial_input(entry.type, size) for size in sizes])
             for entry in Extractor.default().entries
         ]
         cases += [
-            (("HEX_RUN", seed), re.compile(HEX_RUN),
+            (("HEX_RUN", seed), _finditer(re.compile(HEX_RUN)),
              [_repeat(seed, size) for size in sizes])
             for seed in HEX_RUN_STRESSORS
         ]
-        for label, pattern, inputs in cases:
+        # Up to 1 MB: the tokenizer gives up on the whole document at once.
+        cases += [
+            (("tokenizer", head), _tokenize,
+             [head + _repeat(seed, size) for size in (1 << 18, 1 << 19, 1 << 20)])
+            for head, seed in TOKENIZER_STRESSORS
+        ]
+        for label, scan, inputs in cases:
             # Re-measure on a failed ratio before declaring superlinearity:
             # minute absolute times make single trials jitter-prone.
             for attempt in range(3):
-                times = [_scan_time(pattern, text) for text in inputs]
+                times = [_scan_time(scan, text) for text in inputs]
                 ratios = [b / max(a, 1e-9) for a, b in zip(times, times[1:])]
                 if all(r <= 3.0 for r in ratios):
                     break
-            for size, elapsed in zip(sizes, times):
-                assert elapsed < 1.0, (label, size, elapsed)
+            for text, elapsed in zip(inputs, times):
+                assert elapsed < 1.0, (label, len(text), elapsed)
             for ratio in ratios:
                 assert ratio <= 3.0, (label, times)
 

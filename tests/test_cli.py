@@ -126,6 +126,18 @@ class TestExtractCommand:
         assert any(r["value"] == "8.8.8.8" for r in jlines(out))
         assert "missing" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unparseable_marked_section_does_not_stop_the_run(self, tmp_path, capsys, jobs):
+        manifest = tmp_path / "manifest.tsv"
+        rows = [
+            add_doc(tmp_path, "bad.html", "<p>c2 8.8.4.4</p><![ x", fmt="html"),
+            add_doc(tmp_path, "ok.txt", "ip 8.8.8.8 here"),
+        ]
+        manifest.write_text("\n".join(rows) + "\n")
+        code, out, _ = run(capsys, "extract", "--manifest", str(manifest), "--jobs", jobs)
+        assert code == 0
+        assert {r["value"] for r in jlines(out)} == {"8.8.4.4", "8.8.8.8"}
+
     def test_unreadable_doc_is_returned_not_raised(self, tmp_path):
         # A document that vanishes after the manifest loads must not stop
         # the map over the remaining documents, in a worker or in-process.
@@ -560,3 +572,26 @@ def test_unopenable_output_path_exit_2(corpus_dir, tranco_file, capsys, command)
     code, _, err = run(capsys, *_argv_writing_to(command, corpus_dir, tranco_file, target))
     assert code == 2
     assert err == f"iockit: {target}: No such file or directory\n"
+
+
+def test_filter_unopenable_generic_out_leaves_out_untouched(corpus_dir, tranco_file, capsys):
+    target = corpus_dir / "no-such-dir" / "out"
+    kept = corpus_dir / "iocs.jsonl"
+    kept.write_text("kept\n")
+    argv = _argv_writing_to("filter", corpus_dir, tranco_file, target) + ["--out", str(kept)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 2
+    assert kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("report", ["stdout", "new file"])
+def test_compare_unopenable_csv_writes_no_report(corpus_dir, tranco_file, capsys, report):
+    target = corpus_dir / "no-such-dir" / "out"
+    argv = _argv_writing_to("compare", corpus_dir, tranco_file, target)
+    report_path = corpus_dir / "report.json"
+    if report == "new file":
+        argv += ["--out", str(report_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert not report_path.exists()

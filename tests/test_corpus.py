@@ -1,9 +1,15 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from iockit.corpus import DocumentRecord, extract_text, load_manifest
+from iockit.corpus import (
+    DocumentRecord,
+    _feed_subset,
+    _TextExtractor,
+    extract_text,
+    load_manifest,
+)
 from iockit.errors import HashMismatchError, MalformedLineError, MissingFileError
 
 
@@ -127,8 +133,15 @@ class TestExtractText:
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(max_size=400))
+    @example("see 1.2.3.4 <![ x")
+    @example("<![foo[ x ]]>")
     def test_never_raises(self, text):
         extract_text(text)
+
+    def test_unparseable_marked_section_is_text(self):
+        assert extract_text("see 1.2.3.4 <![ x") == "see 1.2.3.4 <![ x"
+        text = extract_text("<p>a</p><![foo[ x ]]><p>evil.example.com</p>")
+        assert text == "a\n<![foo[ x ]]>\nevil.example.com"
 
     # Idempotence holds for single-encoded input; exclude '&' and '<',
     # whose re-interpretation on a second pass is inherent to entity and
@@ -145,3 +158,124 @@ class TestExtractText:
     def test_idempotent_without_markup_chars(self, text):
         once = extract_text(text)
         assert extract_text(once) == once
+
+
+def parsed_by_html_parser(html: str) -> str:
+    parser = _TextExtractor()
+    parser.feed(html)
+    parser.close()
+    return parser.text()
+
+
+def fast_path_text(html: str):
+    """The tokenizer's text, or None when it gives the document up."""
+    parser = _TextExtractor()
+    return parser.text() if _feed_subset(parser, html) else None
+
+
+_TAG_NAMES = ("p", "P", "a", "x:y", "title", "script", "SCRIPT", "style")
+#: Attributes the fast path takes: quoted, unquoted, and bare values that
+#: end in ``/`` (HTMLParser reads ``<script src=x/>`` as a start tag).
+_ATTRS = (" b", " b=c", " b = c", " b='c d'", ' b="c>d"', " src=x/", " b=c/")
+#: Script and style content: text, markup, and end tags that do not end it
+#: (``</scriptx>``) or that HTMLParser's end pattern finds but its end tag
+#: rejects (``</\u017fcript>``).
+_RAW_TEXT = ("x", "&amp;", "<p>", "</scriptx>", "</SCRIPT >", "</\u017fcript>", "</ style>")
+_accepted_piece = (
+    st.builds(
+        lambda name, attrs, end: f"<{name}{''.join(attrs)}{end}",
+        st.sampled_from(_TAG_NAMES),
+        st.lists(st.sampled_from(_ATTRS), max_size=3),
+        st.sampled_from((">", "/>", " />", " >")),
+    )
+    | st.builds(
+        lambda name, space: f"</{name}{space}>",
+        st.sampled_from(_TAG_NAMES + ("scriptx",)),
+        st.sampled_from(("", " ")),
+    )
+    | st.builds(
+        lambda name, content, end: f"<{name}>{''.join(content)}{end}",
+        st.sampled_from(("script", "SCRIPT", "style")),
+        st.lists(st.sampled_from(_RAW_TEXT), max_size=3),
+        st.sampled_from(("</script>", "</style >", "")),
+    )
+    | st.sampled_from((
+        "<script src=x/>", "</SCRIPT >", "</scriptx>", "<!-- c -->", "<!---->",
+        "<!-->", "<!--->", "<!DOCTYPE html>", "<!doctype>", "&amp;", "&amp", "&lt;",
+        "&#49;", "&#x31", "&nbsp;", "&", ">", "-", " ", "\n", "see ", "1.2.3.4",
+        "evil.example.com", "http://a.example/x",
+    ))
+)
+#: Markup outside the subset, and near misses of it: stray ``<``, marked
+#: sections, whitespace HTMLParser treats apart, and end tags of script
+#: content that HTMLParser's end pattern finds but its end tag rejects.
+_NEAR_MISSES = (
+    "<", "</", "<!--", "<p", "<script", "<!x>", "<![CDATA[x]]>", "<![ x", "<?pi?>",
+    "<!-- a -- b -->", "<!-- a -- > b -->", "</\u017fcript>", "</script\xa0>",
+    "</ script>", "</p x>", "<a b=>", "<a b==c>", '<a b="c"d>', "<a b=c<d>", "<a\x0b>",
+    "<p\xa0b>", "<p\x0b>", "<a/b>",
+)
+
+
+@st.composite
+def html_documents(draw):
+    """Accepted pieces with up to two near misses put in anywhere."""
+    pieces = draw(st.lists(_accepted_piece, max_size=15))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(pieces)))
+        pieces.insert(at, draw(st.sampled_from(_NEAR_MISSES)))
+    return "".join(pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(html_documents())
+def test_fast_path_text_equals_html_parser(html):
+    fast = fast_path_text(html)
+    if fast is not None:
+        assert fast == parsed_by_html_parser(html)
+    assert extract_text(html) == parsed_by_html_parser(html)
+
+
+@pytest.mark.parametrize(
+    "html",
+    [
+        "<script src=x/>hidden",
+        "<a href=x/>shown",
+        "<script>a</\u017fcript>b</script>c",
+        "<script></SCRIPT >y</script>z",
+        "a<p\x0b>b",
+        "a<p\xa0b>c",
+        "<!-->a-->b",
+        "<!--->a-->b",
+        "<!-- a -- > b -->c",
+    ],
+)
+def test_fast_path_traps(html):
+    # Where a plausible tokenizer parts from HTMLParser: a bare value takes
+    # the ``/``; IGNORECASE equates U+017F with ``s`` in the script end
+    # pattern but not in the end tag; a tag name ends at no whitespace
+    # but five ASCII characters; a comment ends at the first ``--\s*>``
+    # after ``<!--``.
+    assert extract_text(html) == parsed_by_html_parser(html)
+
+
+def test_fast_path_accepts_feed_items():
+    # Shaped like the items of an RSS/blog feed: attributes of every
+    # quoting, nested inline tags, entities, head elements and a footer.
+    item = (
+        '<!DOCTYPE html><html lang="en"><head><meta charset="utf-8">'
+        "<title>Weekly update 7</title><style>.entry-p{margin:0}</style>"
+        "<script>window.dataLayer=window.dataLayer||[];</script></head><body>"
+        '<div class="feed"><article class="item" id="i3fa2">'
+        "<h2>Weekly update 7</h2><!-- entry -->"
+        '<div class="entry"><p class="entry-p">C2 at <span class="c7" data-k="9f">'
+        "hxxp[:]//evil[.]example.com/gate</span> &amp; 203.0.113.7<br/>"
+        "hash d41d8cd98f00b204e9800998ecf8427e &lt;dropped&gt;</p>\n"
+        "<p class=entry-p>Tracker UA-4422107-1</P></div></article></div>"
+        '<footer><nav><ul><li><a href="/">Home</a></li>'
+        "<li><a href=/feed>Feed</a></li></ul></nav></footer></body></html>\n"
+    )
+    text = fast_path_text(item)
+    assert text is not None
+    assert text == parsed_by_html_parser(item)
+    assert "hxxp[:]//evil[.]example.com/gate & 203.0.113.7" in text

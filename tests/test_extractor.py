@@ -18,7 +18,7 @@ from iockit.extractor import (
     parse_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import GATES, HEX_RUNS, default_entries
+from iockit.patterns import _URL_PATH_CHAR, GATES, HEX_RUNS, default_entries
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import validate
 
@@ -108,6 +108,7 @@ class TestPerType:
              T.REGKEY, "HKLM\\Software\\Microsoft\\Windows\\CurrentVersion\\Run"),
             ("monetized pub-1234567890123456 and", T.GOOGLE_ADSENSE, "pub-1234567890123456"),
             ("tracker UA-4422107-1 reused", T.GOOGLE_ANALYTICS, "UA-4422107-1"),
+            ("c2 at http://evil.example.com/x\u3002 now", T.URL, "http://evil.example.com/x"),
         ],
     )
     def test_single_indicator(self, text, ind_type, value):
@@ -409,6 +410,17 @@ PLANNED = {
 }
 
 
+@pytest.mark.parametrize(
+    "name,shared",
+    [("default", True), ("md5", False), ("ethereum", False), ("sha1+ethereum", True),
+     ("hex-twice", True)],
+)
+def test_hex_run_shared_by_two_or_more_shapes(name, shared):
+    # One hex shape alone runs its own expression, which is cheaper.
+    extractor = PLANNED[name][0]()
+    assert (extractor._hex_run is not None) is shared
+
+
 @pytest.fixture(scope="module")
 def planted_corpus():
     """200 documents of planted values, some defanged, covering every type."""
@@ -484,3 +496,10 @@ def test_gate_letters_lower_to_themselves():
     for letter in sorted(letters):
         for m in re.finditer("(?i)" + letter, every_code_point):
             assert m.group().lower() == letter, (letter, hex(ord(m.group())))
+
+
+def test_url_path_is_ascii_without_whitespace_or_delimiters():
+    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+    matched = set(re.findall(_URL_PATH_CHAR, every_code_point))
+    ascii_chars = map(chr, range(128))
+    assert matched == {ch for ch in ascii_chars if not ch.isspace() and ch not in "<>\"'`"}
