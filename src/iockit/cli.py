@@ -66,10 +66,10 @@ def _open_outputs(*paths):
         yield streams
 
 
-def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
+def _load_manifest(path, verify: bool) -> tuple[list[corpus.DocumentRecord], bool]:
     """The manifest's loadable documents, and whether any failed to load;
-    each failure is reported."""
-    records, errors = corpus.load_manifest(path, strict=False)
+    each failure is reported. ``verify`` re-hashes every document."""
+    records, errors = corpus.load_manifest(path, strict=False, verify=verify)
     for exc in errors:
         _err(str(exc))
     return records, bool(errors)
@@ -194,7 +194,7 @@ def _extract_lines(record: corpus.DocumentRecord) -> list[str] | OSError:
 def cmd_extract(args) -> int:
     try:
         extractor = _build_extractor(args)
-        records, failed = _load_manifest(args.manifest)
+        records, failed = _load_manifest(args.manifest, verify=True)
     except (IockitError, OSError) as exc:
         _err(str(exc))
         return 2
@@ -220,7 +220,8 @@ def cmd_extract(args) -> int:
 
 def cmd_filter(args) -> int:
     try:
-        records, failed = _load_manifest(args.manifest)
+        # Filter needs only each document's origins, so it reads no document.
+        records, failed = _load_manifest(args.manifest, verify=False)
         known = {record.doc_id for record in records}
         by_doc: dict[str, set[Indicator]] = defaultdict(set)
         reader = _IndicatorLines([args.indicators], ("doc_id",))

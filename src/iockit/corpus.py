@@ -43,13 +43,15 @@ class DocumentRecord:
         return self.path.read_bytes().decode("utf-8", errors="replace")
 
 
-def load_manifest(path: str | Path, strict: bool = True):
+def load_manifest(path: str | Path, strict: bool = True, *, verify: bool = True):
     """Read a manifest of ``doc_id<TAB>path<TAB>origin<TAB>format`` lines.
 
     Records come back in file order, with duplicate doc_ids collapsed into
     one record with merged origins. Each file is re-hashed on load; a
     mismatch raises HashMismatchError (strict mode) or is returned in the
     error list (``strict=False`` returns ``(records, errors)``).
+    ``verify=False`` trusts the manifest's doc_ids: a missing file is still
+    an error, but no file is read or hashed.
     """
     path = Path(path)
     if not path.is_file():
@@ -87,8 +89,7 @@ def load_manifest(path: str | Path, strict: bool = True):
         if not doc_path.is_file():
             fail(MissingFileError(doc_path))
             continue
-        digest = hashlib.sha256(doc_path.read_bytes()).hexdigest()
-        if digest != doc_id:
+        if verify and hashlib.sha256(doc_path.read_bytes()).hexdigest() != doc_id:
             fail(HashMismatchError(doc_id, str(doc_path)))
             continue
         by_id[doc_id] = DocumentRecord(doc_id, doc_path, (origin,), fmt)

@@ -4,9 +4,22 @@ Every expression follows the same discipline so matching stays linear on
 adversarial input under a backtracking engine:
 
 * repetition is always bounded (labels <= 63 chars, <= 126 labels, ...);
-* a cheap one-character negative lookbehind guards the start, so interior
-  positions of a long token fail in O(1);
-* alternations never overlap with their following element.
+* a cheap negative lookbehind on the character before a match guards its
+  start, so interior positions of a long token fail in O(1);
+* alternations never overlap with their following element;
+* the first element is a character class, a literal, or an alternation of
+  literals, and the guard comes after it: ``C(?<!G.)R`` for ``(?<!G)CR``,
+  which is the same because ``C`` never matches a newline. The engine then
+  tests each start position against ``C`` in C code instead of entering
+  the matcher there, which it cannot do for an expression that starts with
+  a lookbehind. A ``(?i:...)`` first letter is spelled as a class
+  (``[Aa]``), as the engine does not take a case-insensitive prefix.
+  fqdn, email and onionAddress keep their guard first: their first class
+  holds nearly every character of prose (``[a-z2-7]`` most of it), so the
+  test would skip almost nothing and cost more than it saves. The DNS
+  labels of fqdn and email are possessive instead; no dot form starts
+  with a label character, so a label is always a maximal run and giving
+  characters back never leads to a match.
 
 Nested unbounded quantifiers and lookbehind-heavy forms are avoided; the
 test suite enforces a time budget on adversarial inputs for every entry.
@@ -41,14 +54,16 @@ _DOT = r"(?:\.|\[\.\]|\(\.\)|\[dot\]|\(dot\))"
 _PLAIN_DOT = r"\."
 _AT = r"(?:@|\[at\]|\(at\)|_at_)"
 _PLAIN_AT = "@"
-_SCHEME = r"(?:h(?:tt|xx)ps?|ftps?)"
-_PLAIN_SCHEME = r"(?:https?|ftps?)"
+# A scheme after its first letter, which the URL expression matches as [hf].
+_SCHEME = r"(?:(?<=h)(?:tt|xx)ps?|(?<=f)tps?)"
+_PLAIN_SCHEME = r"(?:(?<=h)ttps?|(?<=f)tps?)"
 _SEP = r"(?::|\[:\])//"
 _PLAIN_SEP = "://"
 
-_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_-]{0,61}[A-Za-z0-9_])?"
+_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_-]{0,62}+(?<!-)"
 _TLD = r"(?:[A-Za-z]{2,63}|[Xx][Nn]--[A-Za-z0-9-]{1,59})"
-_HEX_GUARD_L = r"(?<![A-Za-z0-9])"
+# The left guard, placed after the first character of a match.
+_HEX_GUARD_L = r"(?<![A-Za-z0-9].)"
 _HEX_GUARD_R = r"(?![A-Za-z0-9])"
 _B58 = r"[1-9A-HJ-NP-Za-km-z]"
 # A URL path character: ASCII, but not whitespace or any of <>"'`. Spelled
@@ -57,8 +72,8 @@ _B58 = r"[1-9A-HJ-NP-Za-km-z]"
 _URL_PATH_CHAR = r"[\x00-\x08\x0e-\x1b!#-&(-;=?-_a-~\x7f]"
 
 _REGKEY_HIVE = (
-    r"(?:HKEY_(?:LOCAL_MACHINE|CURRENT_USER|CLASSES_ROOT|USERS|"
-    r"CURRENT_CONFIG|PERFORMANCE_DATA)|HKLM|HKCU|HKCR|HKU|HKCC)"
+    r"[Hh](?i:KEY_(?:LOCAL_MACHINE|CURRENT_USER|CLASSES_ROOT|USERS|"
+    r"CURRENT_CONFIG|PERFORMANCE_DATA)|KLM|KCU|KCR|KU|KCC)"
 )
 _REGKEY_SEGMENT = r"[A-Za-z0-9_.\-{}()@~#$%^&+=!']{1,128}"
 
@@ -69,45 +84,46 @@ def _sources(dot: str, at: str, scheme: str, sep: str) -> dict[IndicatorType, st
     host = rf"(?:[A-Za-z0-9_\-]{{1,63}}(?:{dot}[A-Za-z0-9_\-]{{1,63}}){{0,126}}|\[[0-9A-Fa-f:.]{{2,45}}\])"
     return {
         _T.IP4: (
-            rf"(?<![\w.\])])\d{{1,3}}(?:{dot}\d{{1,3}}){{3}}(?!\w)(?!{dot}\d)"
+            rf"\d(?<![\w.\])].)\d{{0,2}}(?:{dot}\d{{1,3}}){{3}}(?!\w)(?!{dot}\d)"
         ),
-        _T.IP4CIDR: r"(?<![\w.\])])\d{1,3}(?:\.\d{1,3}){3}/\d{1,2}(?!\w)",
+        _T.IP4CIDR: r"\d(?<![\w.\])].)\d{0,2}(?:\.\d{1,3}){3}/\d{1,2}(?!\w)",
         _T.IP6: (
-            r"(?<![\w:.])(?:[0-9A-Fa-f]{0,4}:){2,7}"
+            r"[0-9A-Fa-f:](?<![\w:.].)(?:(?<=:)|(?<=[0-9A-Fa-f])[0-9A-Fa-f]{0,3}:)"
+            r"(?:[0-9A-Fa-f]{0,4}:){1,6}"
             r"(?:[0-9A-Fa-f]{1,4}|(?:\d{1,3}\.){3}\d{1,3})?(?![\w:])(?!\.\d)"
         ),
         _T.FQDN: rf"(?<![\w.\-\])]){domain_body}(?!\w)",
         _T.URL: (
-            rf"(?<![\w.\-@]){scheme}{sep}{host}(?::\d{{1,5}})?(?:[/?#]{_URL_PATH_CHAR}*)?"
+            rf"[hf](?<![\w.\-@].){scheme}{sep}{host}(?::\d{{1,5}})?(?:[/?#]{_URL_PATH_CHAR}*)?"
         ),
         _T.EMAIL: (
             rf"(?<![A-Za-z0-9!#$%&'*+/=?^_`{{|}}~.\-]){local}{at}{domain_body}(?!\w)"
         ),
-        _T.MD5: rf"{_HEX_GUARD_L}[0-9a-fA-F]{{32}}{_HEX_GUARD_R}",
-        _T.SHA1: rf"{_HEX_GUARD_L}[0-9a-fA-F]{{40}}{_HEX_GUARD_R}",
-        _T.SHA256: rf"{_HEX_GUARD_L}[0-9a-fA-F]{{64}}{_HEX_GUARD_R}",
-        _T.SHA512: rf"{_HEX_GUARD_L}[0-9a-fA-F]{{128}}{_HEX_GUARD_R}",
+        _T.MD5: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{31}}{_HEX_GUARD_R}",
+        _T.SHA1: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{39}}{_HEX_GUARD_R}",
+        _T.SHA256: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{63}}{_HEX_GUARD_R}",
+        _T.SHA512: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{127}}{_HEX_GUARD_R}",
         _T.SSDEEP: (
-            r"(?<![A-Za-z0-9:/+])\d{1,18}:[A-Za-z0-9/+]{6,}:[A-Za-z0-9/+]{6,}"
+            r"\d(?<![A-Za-z0-9:/+].)\d{0,17}:[A-Za-z0-9/+]{6,}:[A-Za-z0-9/+]{6,}"
             r"(?![A-Za-z0-9:/+])"
         ),
-        _T.CVE: r"(?<![\w-])(?i:CVE)-\d{4}-\d{4,7}(?![\w-])",
-        _T.ASN: r"(?<![\w-])(?i:ASN?)\d{1,10}(?![\w-])",
-        _T.BITCOIN: rf"{_HEX_GUARD_L}[13]{_B58}{{25,34}}{_HEX_GUARD_R}",
-        _T.ETHEREUM: rf"{_HEX_GUARD_L}0x[0-9a-fA-F]{{40}}{_HEX_GUARD_R}",
-        _T.MONERO: rf"{_HEX_GUARD_L}[48]{_B58}{{94}}{_HEX_GUARD_R}",
+        _T.CVE: r"[Cc](?<![\w-].)(?i:VE)-\d{4}-\d{4,7}(?![\w-])",
+        _T.ASN: r"[Aa](?<![\w-].)(?i:SN?)\d{1,10}(?![\w-])",
+        _T.BITCOIN: rf"[13]{_HEX_GUARD_L}{_B58}{{25,34}}{_HEX_GUARD_R}",
+        _T.ETHEREUM: rf"0{_HEX_GUARD_L}x[0-9a-fA-F]{{40}}{_HEX_GUARD_R}",
+        _T.MONERO: rf"[48]{_HEX_GUARD_L}{_B58}{{94}}{_HEX_GUARD_R}",
         _T.ONION_ADDRESS: (
             r"(?<![A-Za-z0-9.\-])[a-z2-7]{16}(?:[a-z2-7]{40})?\.onion"
             r"(?![A-Za-z0-9\-])"
         ),
-        _T.IBAN: rf"{_HEX_GUARD_L}[A-Z]{{2}}\d{{2}}[A-Z0-9]{{11,30}}{_HEX_GUARD_R}",
+        _T.IBAN: rf"[A-Z]{_HEX_GUARD_L}[A-Z]\d{{2}}[A-Z0-9]{{11,30}}{_HEX_GUARD_R}",
         _T.MAC_ADDRESS: (
-            r"(?<![A-Za-z0-9:])(?:[0-9A-Fa-f]{2}[:-]){5}[0-9A-Fa-f]{2}"
-            r"(?![A-Za-z0-9:-])"
+            r"[0-9A-Fa-f](?<![A-Za-z0-9:].)[0-9A-Fa-f][:-](?:[0-9A-Fa-f]{2}[:-]){4}"
+            r"[0-9A-Fa-f]{2}(?![A-Za-z0-9:-])"
         ),
-        _T.REGKEY: rf"(?i:{_REGKEY_HIVE})(?:\\{_REGKEY_SEGMENT}){{1,64}}",
-        _T.GOOGLE_ADSENSE: r"(?<![\w-])(?i:(?:ca-)?pub-)\d{16}(?![\w-])",
-        _T.GOOGLE_ANALYTICS: r"(?<![\w-])(?i:UA)-\d{4,10}(?:-\d{1,4})?(?![\w-])",
+        _T.REGKEY: rf"{_REGKEY_HIVE}(?:\\{_REGKEY_SEGMENT}){{1,64}}",
+        _T.GOOGLE_ADSENSE: r"[CcPp](?<![\w-].)(?i:(?<=c)a-pub-|(?<=p)ub-)\d{16}(?![\w-])",
+        _T.GOOGLE_ANALYTICS: r"[Uu](?<![\w-].)(?i:A)-\d{4,10}(?:-\d{1,4})?(?![\w-])",
     }
 
 
@@ -160,7 +176,10 @@ _HEX_SHAPES: dict[IndicatorType, tuple[str, int]] = {
 
 #: One pass that finds every match of the ``HEX_RUNS`` expressions: a guarded
 #: run of 32-128 hex digits, ``0x``-prefixed or not.
-HEX_RUN = rf"{_HEX_GUARD_L}(?:0x)?[0-9a-fA-F]{{32,128}}{_HEX_GUARD_R}"
+HEX_RUN = (
+    rf"[0-9a-fA-F]{_HEX_GUARD_L}(?:(?<=0)x[0-9a-fA-F]{{32,128}}|[0-9a-fA-F]{{31,127}})"
+    rf"{_HEX_GUARD_R}"
+)
 
 
 def _by_source(by_type: dict) -> dict:

@@ -12,6 +12,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from iockit.defang import DEFAULT_CATALOG
 from iockit.types import IndicatorType
@@ -313,6 +314,48 @@ def random_vote_instance(rng: random.Random):
             }
             outputs.append(ToolOutput(p.name, doc, frozenset(chosen)))
     return profiles, outputs, docs
+
+
+@pytest.fixture(scope="session")
+def planted_corpus():
+    """200 documents of planted values, some defanged, covering every type."""
+    rng = random.Random(0x5CA9)
+    forge = ValueForge(rng)
+    types = list(T)
+    docs = []
+    for i in range(200):
+        wanted = types[(3 * i) % len(types):][:3] + rng.choices(types, k=rng.randint(2, 6))
+        docs.append(plant_text(rng, [(t, render(rng, t, forge.value(t))) for t in wanted]))
+    return docs
+
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+#: Gate literals and their near misses, the code points IGNORECASE equates
+#: with k and s, and a full-width stop.
+_GATE_PIECES = (
+    ":", "/", "@", "-", "_at_", "[at]", "(at)", "0x", "HK", "hk", ".", ",",
+    "CVE-", "UA-", "pub-", "\u212a", "\u017f", "\u3002", " ", "\\", "LM", "http", "onion",
+)
+#: One whole value of each gated type.
+_GATED_VALUES = (
+    "CVE-2021-44228", "cve-2021-4422", "UA-4422107-1", "pub-1234567890123456",
+    "HKLM\\Run", "H\u212aCU\\Run", "0A:1b:2C:3d:4E:5f", "0a-1b-2c-3d-4e-5f",
+    "10.0.0.0/8", "fe80::1", "3072:AXGBicFlgVNh:AXGHsN", "ops@crew.net",
+    "ops[at]crew(.)net", "hxxp[:]//bad[.]io/x", "expyuzz4wqqyqhjn.onion",
+)
+#: Hex runs around each hex type's length.
+_hex_runs = st.sampled_from((16, 31, 32, 33, 40, 41, 64, 128, 129)).flatmap(
+    lambda n: st.text(_HEX_DIGITS, min_size=n, max_size=n)
+)
+#: Pieces of gate-shaped text: gate literals and near misses, gated values
+#: and hex runs.
+GATE_SHAPED_PIECES = (
+    st.sampled_from(_GATE_PIECES)
+    | st.sampled_from(_GATED_VALUES)
+    | st.text(_HEX_DIGITS, max_size=6)
+    | _hex_runs
+)
+gate_shaped = st.lists(GATE_SHAPED_PIECES, max_size=30).map("".join)
 
 
 @pytest.fixture

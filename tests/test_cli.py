@@ -327,6 +327,27 @@ class TestFilterCommand:
         assert "moved.txt" in err
         assert err.splitlines()[-1].startswith("total=1 iocs=1 generic=0")
 
+    def test_edited_document_is_classified(self, tmp_path, tranco_file, capsys):
+        # filter needs only origins from the manifest, so it does not re-hash
+        # the documents: one edited after hashing is still classified.
+        rows = [
+            add_doc(tmp_path, "d.txt", "ip 8.8.8.8 here", origin="rss:noname"),
+            add_doc(tmp_path, "e.txt", "empty of indicators", origin="rss:noname"),
+        ]
+        (tmp_path / "d.txt").write_text("edited after hashing", encoding="utf-8")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("\n".join(rows) + "\n")
+        indicators = tmp_path / "ind.jsonl"
+        doc_id = rows[0].split("\t")[0]
+        indicators.write_text(json.dumps({"doc_id": doc_id, "type": "ip4", "value": "8.8.8.8"}))
+        code, out, err = run(
+            capsys, "filter", "--indicators", str(indicators), "--manifest", str(manifest),
+            "--tranco", str(tranco_file), "--generic-out", str(tmp_path / "generic.jsonl"),
+        )
+        assert code == 0, err
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8"]
+        assert err.splitlines()[-1].startswith("total=1 iocs=1 generic=0")
+
     def test_unknown_doc_id_is_an_error(self, tmp_path, tranco_file, capsys):
         stray = json.dumps({"doc_id": "F" * 64, "type": "ip4", "value": "1.1.1.1"})
         code, out, err = self.filter_one_doc(tmp_path, tranco_file, capsys, [stray])

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,6 +47,21 @@ class TestManifest:
         with pytest.raises(HashMismatchError) as err:
             load_manifest(tmp_path / "manifest.tsv")
         assert err.value.doc_id == fake
+
+    def test_unverified_load_reads_no_document(self, tmp_path, monkeypatch):
+        doc_id, name = write_doc(tmp_path, "doc.txt", "original content")
+        (tmp_path / name).write_text("edited content")
+        (tmp_path / "manifest.tsv").write_text(
+            f"{doc_id}\t{name}\trss:a\ttext\n{'0' * 64}\tgone.txt\trss:b\ttext\n"
+        )
+
+        def no_read(self):
+            raise AssertionError(f"read {self}")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read)
+        records, errors = load_manifest(tmp_path / "manifest.tsv", False, verify=False)
+        assert [(r.doc_id, r.origins) for r in records] == [(doc_id, ("rss:a",))]
+        assert [type(e) for e in errors] == [MissingFileError]
 
     def test_malformed_line(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("only\ttwo fields\n")

@@ -22,7 +22,7 @@ from iockit.patterns import _URL_PATH_CHAR, GATES, HEX_RUNS, default_entries
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import validate
 
-from conftest import ValueForge, plant_text, render
+from conftest import gate_shaped, plant_text, render
 
 T = IndicatorType
 
@@ -185,7 +185,14 @@ class TestCatalogLoading:
     def test_shipped_catalog_matches_builder(self):
         shipped = load_catalog(default_catalog_path(), default_tld_path())
         built = {(e.type, e.expression) for e in default_entries(defanged=True)}
-        assert {(e.type, e.expression) for e in shipped.entries} == built
+        shipped_pairs = {(e.type, e.expression) for e in shipped.entries}
+        # On a mismatch, list each differing type as the line the builder
+        # would write, ready to paste into data/patterns.tsv.
+        builder = dict(built)
+        differing = sorted({t.value for t, _ in shipped_pairs ^ built})
+        assert shipped_pairs == built, "data/patterns.tsv differs from default_entries():\n" + (
+            "\n".join(f"{name}\t{builder.get(T(name), '<not built>')}" for name in differing)
+        )
         # The CLI's default extractor parses the shipped file, so its scan
         # is planned only while the file's expressions are the builder's.
         # The plain variant's expressions are planned too.
@@ -421,54 +428,12 @@ def test_hex_run_shared_by_two_or_more_shapes(name, shared):
     assert (extractor._hex_run is not None) is shared
 
 
-@pytest.fixture(scope="module")
-def planted_corpus():
-    """200 documents of planted values, some defanged, covering every type."""
-    import random
-
-    rng = random.Random(0x5CA9)
-    forge = ValueForge(rng)
-    types = list(T)
-    docs = []
-    for i in range(200):
-        wanted = types[(3 * i) % len(types):][:3] + rng.choices(types, k=rng.randint(2, 6))
-        docs.append(plant_text(rng, [(t, render(rng, t, forge.value(t))) for t in wanted]))
-    return docs
-
-
 @pytest.mark.parametrize("name", PLANNED)
 def test_planned_scan_matches_reference_on_corpus(name, planted_corpus):
     factory, validation = PLANNED[name]
     extractor = factory()
     for text in planted_corpus:
         assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
-
-
-_HEX = "0123456789abcdefABCDEF"
-#: Gate literals and their near misses, the code points IGNORECASE equates
-#: with k and s, and a full-width stop.
-_GATE_PIECES = (
-    ":", "/", "@", "-", "_at_", "[at]", "(at)", "0x", "HK", "hk", ".", ",",
-    "CVE-", "UA-", "pub-", "\u212a", "\u017f", "\u3002", " ", "\\", "LM", "http", "onion",
-)
-#: One whole value of each gated type.
-_GATED_VALUES = (
-    "CVE-2021-44228", "cve-2021-4422", "UA-4422107-1", "pub-1234567890123456",
-    "HKLM\\Run", "H\u212aCU\\Run", "0A:1b:2C:3d:4E:5f", "0a-1b-2c-3d-4e-5f",
-    "10.0.0.0/8", "fe80::1", "3072:AXGBicFlgVNh:AXGHsN", "ops@crew.net",
-    "ops[at]crew(.)net", "hxxp[:]//bad[.]io/x", "expyuzz4wqqyqhjn.onion",
-)
-#: Hex runs around each hex type's length.
-_hex_run = st.sampled_from((16, 31, 32, 33, 40, 41, 64, 128, 129)).flatmap(
-    lambda n: st.text(_HEX, min_size=n, max_size=n)
-)
-gate_shaped = st.lists(
-    st.sampled_from(_GATE_PIECES)
-    | st.sampled_from(_GATED_VALUES)
-    | st.text(_HEX, max_size=6)
-    | _hex_run,
-    max_size=30,
-).map("".join)
 
 
 @pytest.mark.parametrize("name", PLANNED)
