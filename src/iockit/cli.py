@@ -4,13 +4,15 @@ apply the dynamic-blocklist filter, and compare tool outputs.
 Data goes to stdout (or --out) as JSON lines; diagnostics go to stderr.
 Exit codes: 0 success, 1 per-item errors (documents or input lines
 skipped, processing continued), 2 unusable inputs or an output file that
-cannot be opened.
+cannot be opened. Commands raise IockitError or OSError for the latter;
+``main`` alone reports them and returns 2.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from collections import Counter, defaultdict
@@ -18,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, filtering, harness
-from .errors import IockitError, OutputFileError, UnknownTypeError
+from .errors import IockitError, MalformedLineError, OutputFileError, UnknownTypeError
 from .extractor import Extractor, default_catalog_path, default_tld_path, load_catalog
 from .normalize import normalize
 from .types import Indicator, IndicatorType, normalize_type_name
@@ -26,16 +28,6 @@ from .types import Indicator, IndicatorType, normalize_type_name
 
 def _err(message: str) -> None:
     print(f"iockit: {message}", file=sys.stderr)
-
-
-@contextlib.contextmanager
-def _open(path):
-    """The named file for reading, or stdin for None or '-' (left open)."""
-    if path in (None, "-"):
-        yield sys.stdin
-        return
-    with open(path, encoding="utf-8") as stream:
-        yield stream
 
 
 @contextlib.contextmanager
@@ -83,9 +75,9 @@ class _IndicatorLines:
     gives ``indicator`` None.
 
     Every line needs string ``keys``, and string ``type`` and ``value``
-    unless it is an error line. A line that does not parse or lacks these
-    is reported as ``path:line: reason``, skipped and counted in
-    ``malformed``. An unknown type name is warned about once and its lines
+    unless it is an error line. A line that is not UTF-8, does not parse or
+    lacks these is reported as ``path:line: reason``, skipped and counted
+    in ``malformed``. An unknown type name is warned about once and its lines
     are skipped; that is not an error.
     """
 
@@ -98,10 +90,9 @@ class _IndicatorLines:
 
     def __iter__(self):
         for path in self.paths:
-            with _open(path) as stream:
+            source = contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
+            with source as stream:
                 for line_no, line in enumerate(stream, 1):
-                    if line.isspace():
-                        continue
                     try:
                         record = self._parse(line)
                     except ValueError as exc:
@@ -111,11 +102,17 @@ class _IndicatorLines:
                     if record is not None:
                         yield record
 
-    def _parse(self, line: str):
-        """The line's record, or None for an unknown type; ValueError says
-        what is malformed."""
+    def _parse(self, line: bytes):
+        """The line's record, or None for a blank line or an unknown type;
+        ValueError says what is malformed."""
         try:
-            obj = json.loads(line)
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError("not UTF-8") from None
+        if text.isspace():
+            return None
+        try:
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad JSON: {exc.msg} at column {exc.colno}") from None
         if not isinstance(obj, dict):
@@ -192,13 +189,8 @@ def _extract_lines(record: corpus.DocumentRecord) -> list[str] | OSError:
 
 
 def cmd_extract(args) -> int:
-    try:
-        extractor = _build_extractor(args)
-        records, failed = _load_manifest(args.manifest, verify=True)
-    except (IockitError, OSError) as exc:
-        _err(str(exc))
-        return 2
-
+    extractor = _build_extractor(args)
+    records, failed = _load_manifest(args.manifest, verify=True)
     with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
         if args.jobs > 1:
             pool = ProcessPoolExecutor(
@@ -219,35 +211,32 @@ def cmd_extract(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    try:
-        # Filter needs only each document's origins, so it reads no document.
-        records, failed = _load_manifest(args.manifest, verify=False)
-        known = {record.doc_id for record in records}
-        by_doc: dict[str, set[Indicator]] = defaultdict(set)
-        reader = _IndicatorLines([args.indicators], ("doc_id",))
-        for _tool, doc_id, indicator in reader:
-            if doc_id not in known:
-                _err(f"indicator references unknown doc {doc_id}; skipped")
-                failed = True
-            elif indicator is not None:
-                by_doc[doc_id].add(indicator)
+    # Filter needs only each document's origins, so it reads no document.
+    records, failed = _load_manifest(args.manifest, verify=False)
+    known = {record.doc_id for record in records}
+    by_doc: dict[str, set[Indicator]] = defaultdict(set)
+    reader = _IndicatorLines([args.indicators], ("doc_id",))
+    for _tool, doc_id, indicator in reader:
+        if doc_id not in known:
+            _err(f"indicator references unknown doc {doc_id}; skipped")
+            failed = True
+        elif indicator is not None:
+            by_doc[doc_id].add(indicator)
 
-        stats = filtering.CorpusStats()
-        for record in records:
-            stats.add_document(record.origins, by_doc.get(record.doc_id, set()))
-        blocklist = filtering.build_blocklist(
-            stats,
-            args.tranco,
-            min_origin_docs=args.min_origin_docs,
-            doc_freq_threshold=args.doc_freq_threshold,
-        )
-    except (IockitError, OSError, ValueError) as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return 2
+    stats = filtering.CorpusStats()
+    for record in records:
+        stats.add_document(record.origins, by_doc.get(record.doc_id, set()))
+    blocklist = filtering.build_blocklist(
+        stats,
+        args.tranco,
+        min_origin_docs=args.min_origin_docs,
+        doc_freq_threshold=args.doc_freq_threshold,
+    )
 
     rule_counts: Counter = Counter()
     totals = Counter()
-    with _open_outputs(args.out, args.generic_out) as (ioc_out, generic_out):
+    generic_paths = [args.generic_out] if args.generic_out else []
+    with _open_outputs(args.out, *generic_paths) as (ioc_out, *generic_out):
         for record in records:
             indicators = sorted(by_doc.get(record.doc_id, set()), key=Indicator.sort_key)
             for indicator in indicators:
@@ -266,7 +255,8 @@ def cmd_filter(args) -> int:
                 else:
                     totals["generic"] += 1
                     rule_counts[rule] += 1
-                    print(line, file=generic_out)
+                    for stream in generic_out:
+                        print(line, file=stream)
     summary = (
         f"total={totals['total']} iocs={totals['iocs']} generic={totals['generic']} "
         + " ".join(f"{name}={rule_counts[name]}" for name in filtering.RULE_NAMES)
@@ -300,45 +290,63 @@ def _load_tool_outputs(directory: Path) -> tuple[list[harness.ToolOutput], int]:
 
 
 def _load_profiles(path: str) -> list[harness.ToolProfile]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        harness.ToolProfile(
-            name, frozenset(normalize_type_name(t) for t in type_names)
-        )
-        for name, type_names in data.items()
-    ]
+    """Tool profiles from a JSON object mapping each tool name to a list of
+    type names; IockitError names the file when it is not one."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise IockitError(f"{path}: not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        message = f"bad JSON: {exc.msg} at column {exc.colno}"
+        raise MalformedLineError(path, exc.lineno, message) from None
+    if not isinstance(data, dict) or not all(
+        isinstance(names, list) and all(isinstance(name, str) for name in names)
+        for names in data.values()
+    ):
+        raise IockitError(f"{path}: expected an object of lists of type names")
+    try:
+        return [
+            harness.ToolProfile(name, frozenset(map(normalize_type_name, names)))
+            for name, names in data.items()
+        ]
+    except UnknownTypeError as exc:
+        raise IockitError(f"{path}: {exc}") from None
 
 
 def cmd_compare(args) -> int:
     directory = Path(args.outputs_dir)
-    try:
-        if not directory.is_dir():
-            raise IockitError(f"not a directory: {directory}")
-        outputs, malformed = _load_tool_outputs(directory)
-        profiles = _load_profiles(args.profiles)
-        tools_seen = {o.tool for o in outputs}
-        if len(tools_seen) < 2:
-            _err(f"need outputs from at least 2 tools, found {len(tools_seen)}")
-            return 2
-        missing = tools_seen - {p.name for p in profiles}
-        if missing:
-            _err(f"profiles missing for tools: {', '.join(sorted(missing))}")
-            return 2
-        docs = sorted({o.doc_id for o in outputs})
-        counters = harness.compare(profiles, outputs, docs)
-        report = harness.build_report(
-            counters, profiles, min_tool_support=args.min_tool_support
+    if not directory.is_dir():
+        raise IockitError(f"{directory}: not a directory")
+    outputs, malformed = _load_tool_outputs(directory)
+    profiles = _load_profiles(args.profiles)
+    tools_seen = {o.tool for o in outputs}
+    if len(tools_seen) < 2:
+        raise IockitError(
+            f"{directory}: need outputs from at least 2 tools, found {len(tools_seen)}"
         )
-    except (IockitError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        _err(f"{type(exc).__name__}: {exc}")
-        return 2
-
+    missing = tools_seen - {p.name for p in profiles}
+    if missing:
+        raise IockitError(f"{args.profiles}: no profile for tools: {', '.join(sorted(missing))}")
+    docs = sorted({o.doc_id for o in outputs})
+    counters = harness.compare(profiles, outputs, docs)
+    report = harness.build_report(counters, profiles, min_tool_support=args.min_tool_support)
     csv_paths = [args.csv] if args.csv else []
     with _open_outputs(args.out, *csv_paths) as (out, *csv):
         print(harness.report_to_json(report), file=out)
         for stream in csv:
             stream.write(harness.render_csv(report))
     return 1 if malformed else 0
+
+
+def _finite_float(text: str) -> float:
+    """A finite float; argparse reports anything else as a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_filter.add_argument(
         "--doc-freq-threshold",
-        type=float,
+        type=_finite_float,
         default=filtering.DEFAULT_DOC_FREQ_THRESHOLD,
         help="document-frequency threshold for rule 4 (default: 0.90)",
     )
     p_filter.add_argument("--out", help="IOC output file (default: stdout)")
     p_filter.add_argument(
-        "--generic-out", default="generic.jsonl", help="generic-indicator output file"
+        "--generic-out", help="generic-indicator output file (default: not written)"
     )
     p_filter.set_defaults(func=cmd_filter)
 
@@ -407,8 +415,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OutputFileError as exc:
-        _err(str(exc))
+    except (IockitError, OSError) as exc:
+        located = isinstance(exc, OSError) and exc.filename is not None
+        _err(f"{exc.filename}: {exc.strerror}" if located else str(exc))
         return 2
 
 

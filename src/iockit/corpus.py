@@ -8,7 +8,7 @@ from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
 
-from .errors import HashMismatchError, MalformedLineError, MissingFileError
+from .errors import HashMismatchError, MalformedLineError, MissingFileError, read_lines
 
 FORMATS = ("text", "html")
 
@@ -54,8 +54,6 @@ def load_manifest(path: str | Path, strict: bool = True, *, verify: bool = True)
     an error, but no file is read or hashed.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(path)
     base = path.parent
     by_id: dict[str, DocumentRecord] = {}
     order: list[str] = []
@@ -66,17 +64,18 @@ def load_manifest(path: str | Path, strict: bool = True, *, verify: bool = True)
             raise exc
         errors.append(exc)
 
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 4:
-            fail(MalformedLineError(line_no, f"expected 4 tab-separated fields, got {len(fields)}"))
+            fail(MalformedLineError(path, line_no, f"expected 4 tab-separated fields, got {len(fields)}"))
             continue
         doc_id, rel_path, origin, fmt = (f.strip() for f in fields)
         doc_id = doc_id.lower()
         if fmt not in FORMATS:
-            fail(MalformedLineError(line_no, f"unknown format {fmt!r}"))
+            fail(MalformedLineError(path, line_no, f"unknown format {fmt!r}"))
+            continue
+        if "\0" in rel_path:
+            fail(MalformedLineError(path, line_no, "document path holds a NUL character"))
             continue
         doc_path = (base / rel_path).resolve() if not Path(rel_path).is_absolute() else Path(rel_path)
         if doc_id in by_id:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InapplicableRuleError, MissingFileError
+from .errors import InapplicableRuleError, MalformedLineError, read_lines
 from .types import IndicatorType
 
 _T = IndicatorType
@@ -116,21 +116,20 @@ def load_rules(path: str | Path) -> DefangCatalog:
     """Load a rule table: one rule per line, tab-separated
     ``id<TAB>pattern<TAB>replacement<TAB>type,type,...``; '#' comments allowed.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(path)
     rules = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in read_lines(path):
         fields = line.split("\t")
         if len(fields) != 4:
-            raise InapplicableRuleError(f"malformed defang rule line: {line!r}")
+            message = f"expected 4 tab-separated fields, got {len(fields)}"
+            raise MalformedLineError(path, line_no, message)
         rule_id, pattern, replacement, type_list = fields
-        types = frozenset(
-            IndicatorType(name.strip()) for name in type_list.split(",") if name.strip()
-        )
+        try:
+            types = frozenset(
+                IndicatorType(name.strip()) for name in type_list.split(",") if name.strip()
+            )
+        except ValueError:
+            message = f"unknown indicator type in {type_list!r}"
+            raise MalformedLineError(path, line_no, message) from None
         rules.append(DefangRule(rule_id, pattern, replacement, types))
     return DefangCatalog(rules)
 

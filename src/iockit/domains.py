@@ -7,12 +7,9 @@ full Public Suffix List file; the plain-suffix line format is the same.
 """
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
 
-from .errors import MissingFileError
-
-_DEFAULT_RESOURCE = "public_suffixes.dat"
+from .errors import DATA, read_lines
 
 
 class SuffixRules:
@@ -24,11 +21,13 @@ class SuffixRules:
         self.exception = frozenset(exception)
 
     @classmethod
-    def parse(cls, text: str) -> "SuffixRules":
+    def load(cls, path: str | Path) -> "SuffixRules":
+        """Rules from a public-suffix file: one rule per line; '//' and '#'
+        comments allowed."""
         plain, wildcard, exception = set(), set(), set()
-        for line in text.splitlines():
+        for _, line in read_lines(path):
             line = line.strip().lower()
-            if not line or line.startswith("//") or line.startswith("#"):
+            if line.startswith("//"):
                 continue
             if line.startswith("!"):
                 exception.add(line[1:])
@@ -37,13 +36,6 @@ class SuffixRules:
             else:
                 plain.add(line)
         return cls(plain, wildcard, exception)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SuffixRules":
-        path = Path(path)
-        if not path.is_file():
-            raise MissingFileError(path)
-        return cls.parse(path.read_text(encoding="utf-8"))
 
     def suffix_length(self, labels: list[str]) -> int:
         """Number of trailing labels that form the public suffix."""
@@ -77,12 +69,7 @@ class SuffixRules:
         return ".".join(labels[-(n + 1) :])
 
 
-def _load_default() -> SuffixRules:
-    text = files("iockit").joinpath("data", _DEFAULT_RESOURCE).read_text(encoding="utf-8")
-    return SuffixRules.parse(text)
-
-
-DEFAULT_RULES = _load_default()
+DEFAULT_RULES = SuffixRules.load(DATA / "public_suffixes.dat")
 
 
 def registrable_domain(host: str, rules: SuffixRules | None = None) -> str | None:

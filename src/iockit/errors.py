@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of its
+line-based input files."""
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
+
+#: The directory of the built-in data files.
+DATA = Path(__file__).parent / "data"
 
 
 class IockitError(Exception):
@@ -17,7 +25,7 @@ class MissingFileError(IockitError):
     """A required input file does not exist."""
 
     def __init__(self, path):
-        super().__init__(f"missing file: {path}")
+        super().__init__(f"{path}: missing file")
         self.path = str(path)
 
 
@@ -27,14 +35,6 @@ class OutputFileError(IockitError):
     def __init__(self, path, reason: str):
         super().__init__(f"{path}: {reason}")
         self.path = str(path)
-
-
-class CatalogParseError(IockitError):
-    """A pattern catalog line is malformed or does not compile."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class HashMismatchError(IockitError):
@@ -47,19 +47,34 @@ class HashMismatchError(IockitError):
 
 
 class MalformedLineError(IockitError):
-    """A manifest line does not have the expected fields."""
+    """A line of an input file cannot be used; prints as ``path:line: message``."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}:{line_no}: {message}")
+        self.path = str(path)
         self.line_no = line_no
 
 
-class MalformedTrancoError(IockitError):
-    """A popularity-list line is not of the form 'rank,domain'."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` for each line of a UTF-8 file that is neither
+    blank nor a ``#`` comment, numbered from 1 as ``str.splitlines`` splits
+    them; the line is not stripped. Raises MissingFileError when ``path``
+    is not a file and MalformedLineError on the first line that is not
+    UTF-8."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFileError(path)
+    with open(path, "rb") as stream:
+        data = stream.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        raise MalformedLineError(path, len((before + "x").splitlines()), "not UTF-8") from None
+    for line_no, line in enumerate(text.splitlines(), 1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
 
 
 class UnknownToolError(IockitError):

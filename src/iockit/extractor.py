@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import re
-from importlib.resources import files
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .defang import DEFAULT_CATALOG, DefangCatalog
-from .errors import CatalogParseError, MissingFileError
+from .errors import DATA, MalformedLineError, read_lines
 from .normalize import normalize
 from .patterns import GATES, HEX_RUN, HEX_RUNS, PatternEntry, default_entries
 from .types import Indicator, IndicatorType, RawMatch
@@ -173,44 +172,34 @@ def _drop_same_type_overlaps(matches: list[RawMatch]) -> list[RawMatch]:
     return kept
 
 
-def parse_catalog(text: str) -> list[PatternEntry]:
-    """Parse catalog lines ``type<TAB>regex``; '#' comments and blanks allowed."""
+def load_catalog(pattern_file: str | Path, tld_file: str | Path) -> Extractor:
+    """Build a reusable extractor from a pattern catalog of ``type<TAB>regex``
+    lines and a TLD snapshot."""
     entries: list[PatternEntry] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in read_lines(pattern_file):
         type_name, sep, expression = line.partition("\t")
         if not sep or not expression.strip():
-            raise CatalogParseError(line_no, f"expected 'type<TAB>regex', got {line!r}")
+            message = f"expected 'type<TAB>regex', got {line!r}"
+            raise MalformedLineError(pattern_file, line_no, message)
         try:
             ind_type = IndicatorType(type_name.strip())
         except ValueError:
-            raise CatalogParseError(
-                line_no, f"unknown indicator type {type_name.strip()!r}"
-            ) from None
+            message = f"unknown indicator type {type_name.strip()!r}"
+            raise MalformedLineError(pattern_file, line_no, message) from None
         try:
             re.compile(expression)
-        except re.error as exc:
-            raise CatalogParseError(line_no, f"bad regex: {exc}") from None
+        except (re.error, OverflowError, RecursionError) as exc:
+            raise MalformedLineError(pattern_file, line_no, f"bad regex: {exc}") from None
         entries.append(PatternEntry(ind_type, expression, line_no))
-    return entries
-
-
-def load_catalog(pattern_file: str | Path, tld_file: str | Path) -> Extractor:
-    """Build a reusable extractor from a pattern catalog and a TLD snapshot."""
-    pattern_file = Path(pattern_file)
-    if not pattern_file.is_file():
-        raise MissingFileError(pattern_file)
-    entries = parse_catalog(pattern_file.read_text(encoding="utf-8"))
     return Extractor(entries, tlds=load_tlds(tld_file))
 
 
 def default_catalog_path() -> Path:
-    return Path(str(files("iockit").joinpath("data", "patterns.tsv")))
+    return DATA / "patterns.tsv"
 
 
 def default_tld_path() -> Path:
-    return Path(str(files("iockit").joinpath("data", "tlds.txt")))
+    return DATA / "tlds.txt"
 
 
 def extract_raw(text: str) -> list[RawMatch]:

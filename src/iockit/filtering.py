@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .domains import SuffixRules, registrable_domain
-from .errors import MalformedTrancoError, MissingFileError
+from .errors import MalformedLineError, read_lines
 from .types import Indicator, IndicatorType
 
 _T = IndicatorType
@@ -83,9 +83,7 @@ def _domain_candidates(
 
 class CorpusStats:
     """Accumulates per-origin and per-corpus indicator counts, one document
-    at a time. Counters are associative, so partial stats built by parallel
-    workers over disjoint documents can be merged.
-    """
+    at a time."""
 
     def __init__(self, suffix_rules: SuffixRules | None = None):
         self.suffix_rules = suffix_rules
@@ -124,13 +122,6 @@ class CorpusStats:
             for key, count in self.doc_counts.items()
         }
 
-    def merge(self, other: "CorpusStats") -> None:
-        """Fold in stats built over a disjoint set of documents."""
-        self.origin_domains |= other.origin_domains
-        self.per_origin_doc_counts += other.per_origin_doc_counts
-        self.doc_counts += other.doc_counts
-        self.total_docs += other.total_docs
-
 
 @dataclass(frozen=True)
 class DynamicBlocklist:
@@ -146,20 +137,16 @@ class DynamicBlocklist:
 
 def load_tranco(path: str | Path, top_n: int = TRANCO_TOP_N) -> frozenset[str]:
     """Load a ``rank,domain`` popularity snapshot, keeping the first
-    ``top_n`` ranks."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(path)
+    ``top_n`` ranks; '#' comments allowed. A rank is ASCII digits."""
     domains: set[str] = set()
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        rank_text, sep, domain = line.partition(",")
-        if not sep or not rank_text.strip().isdigit() or not domain.strip():
-            raise MalformedTrancoError(line_no, f"expected 'rank,domain', got {line!r}")
-        if int(rank_text) <= top_n:
-            domains.add(domain.strip().lower().rstrip("."))
+    for line_no, line in read_lines(path):
+        rank, sep, domain = line.partition(",")
+        rank, domain = rank.strip(), domain.strip()
+        if not sep or not (rank.isascii() and rank.isdigit()) or not domain:
+            message = f"expected 'rank,domain', got {line.strip()!r}"
+            raise MalformedLineError(path, line_no, message)
+        if int(rank) <= top_n:
+            domains.add(domain.lower().rstrip("."))
     return frozenset(domains)
 
 

@@ -73,11 +73,6 @@ class AccuracyCounters:
     def cell(self, tool: str, type: IndicatorType) -> Counts:
         return self.cells[(tool, type)]
 
-    def merge(self, other: "AccuracyCounters") -> None:
-        for key, counts in other.cells.items():
-            self.cells[key].add(counts)
-        self.positives += other.positives
-
     def total_increments(self) -> int:
         return sum(c.tp + c.fp + c.fn + c.tn for c in self.cells.values())
 

@@ -10,34 +10,20 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import re
-from importlib.resources import files
 from pathlib import Path
 
-from .errors import MissingFileError
+from .errors import DATA, read_lines
 from .types import IndicatorType
 
 _T = IndicatorType
 
+
 def load_tlds(path: str | Path) -> frozenset[str]:
-    """Load a TLD snapshot: one TLD per line, lowercase, '#' comments allowed."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(path)
-    return _parse_tlds(path.read_text(encoding="utf-8"))
+    """Load a TLD snapshot: one TLD per line, lowercased; '#' comments allowed."""
+    return frozenset(line.strip().lower() for _, line in read_lines(path))
 
 
-def _parse_tlds(text: str) -> frozenset[str]:
-    out = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            out.add(line)
-    return frozenset(out)
-
-
-DEFAULT_TLDS: frozenset[str] = _parse_tlds(
-    files("iockit").joinpath("data", "tlds.txt").read_text(encoding="utf-8")
-)
+DEFAULT_TLDS: frozenset[str] = load_tlds(DATA / "tlds.txt")
 
 
 # ---------------------------------------------------------------------------

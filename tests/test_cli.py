@@ -114,7 +114,7 @@ class TestExtractCommand:
             capsys, "extract", "--manifest", str(corpus_dir / "manifest.tsv"),
             "--catalog", str(bad),
         )
-        assert code == 2 and "line 1" in err
+        assert code == 2 and f"{bad}:1:" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_doc_error_continues_exit_1(self, corpus_dir, capsys, jobs):
@@ -311,7 +311,9 @@ class TestFilterCommand:
         manifest.write_text("\n".join([*manifest_rows, row, other]) + "\n")
         indicators = tmp_path / "ind.jsonl"
         good = json.dumps({"doc_id": doc_id, "type": "ip4", "value": "8.8.8.8"})
-        indicators.write_text("\n".join([*indicator_lines, good]) + "\n")
+        # A lone surrogate in a line stands for a byte that is not UTF-8.
+        text = "\n".join([*indicator_lines, good]) + "\n"
+        indicators.write_bytes(text.encode("utf-8", "surrogateescape"))
         return run(
             capsys, "filter", "--indicators", str(indicators), "--manifest", str(manifest),
             "--tranco", str(tranco_file), "--generic-out", str(tmp_path / "generic.jsonl"),
@@ -375,13 +377,62 @@ class TestFilterCommand:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("total=1 iocs=1 generic=0")
 
+    def test_non_utf8_line_reported_and_skipped(self, tmp_path, tranco_file, capsys):
+        code, out, err = self.filter_one_doc(tmp_path, tranco_file, capsys, ["\udcff"])
+        assert code == 1
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8"]
+        assert f"iockit: {tmp_path / 'ind.jsonl'}:1: not UTF-8\n" in err
+        assert err.splitlines()[-1].startswith("total=1 iocs=1 generic=0")
+
+    def test_non_utf8_stdin_line_reported_and_skipped(
+        self, tmp_path, tranco_file, monkeypatch, capsys
+    ):
+        import io
+
+        row = add_doc(tmp_path, "d.txt", "ip 8.8.8.8 here", origin="rss:noname")
+        other = add_doc(tmp_path, "e.txt", "empty of indicators", origin="rss:noname")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(row + "\n" + other + "\n")
+        good = json.dumps({"doc_id": row.split("\t")[0], "type": "ip4", "value": "8.8.8.8"})
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n" + good.encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(
+            capsys, "filter", "--manifest", str(manifest), "--tranco", str(tranco_file)
+        )
+        assert code == 1
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8"]
+        first, summary = err.splitlines()
+        assert first == "iockit: -:1: not UTF-8"
+        assert summary.startswith("total=1 iocs=1 generic=0")
+
+    def test_generic_lines_not_written_without_generic_out(
+        self, tmp_path, tranco_file, monkeypatch, capsys
+    ):
+        row = add_doc(tmp_path, "d.txt", "only 192.168.1.1 here", origin="rss:noname")
+        other = add_doc(tmp_path, "e.txt", "empty of indicators", origin="rss:noname")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(row + "\n" + other + "\n")
+        indicators = tmp_path / "ind.jsonl"
+        indicators.write_text(
+            json.dumps({"doc_id": row.split("\t")[0], "type": "ip4", "value": "192.168.1.1"})
+        )
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(
+            capsys, "filter", "--indicators", str(indicators), "--manifest", str(manifest),
+            "--tranco", str(tranco_file),
+        )
+        assert code == 0 and out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert "total=1 iocs=0 generic=1" in err and "private_ip=1" in err
+
     def test_malformed_stdin_line_named_dash(self, tmp_path, tranco_file, monkeypatch, capsys):
         import io
 
         row = add_doc(tmp_path, "d.txt", "nothing")
         manifest = tmp_path / "m.tsv"
         manifest.write_text(row + "\n")
-        monkeypatch.setattr("sys.stdin", io.StringIO("{bad\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"{bad\n")))
         code, _, err = run(
             capsys, "filter", "--manifest", str(manifest), "--tranco", str(tranco_file),
             "--generic-out", str(tmp_path / "generic.jsonl"),
@@ -521,6 +572,23 @@ class TestCompareCommand:
         assert content.startswith("indicator,count")
         assert "ALL," in content
 
+    def test_non_utf8_line_reported_and_skipped(self, tmp_path, capsys):
+        out_dir = tmp_path / "outputs"
+        self.write_outputs(out_dir, {
+            "a": [tool_line("a", "d1", "ip4", "1.1.1.1")],
+            "b": [tool_line("b", "d1", "ip4", "1.1.1.1")],
+        })
+        with open(out_dir / "a.jsonl", "ab") as stream:
+            stream.write(b'{"tool": "a", "doc_id": "d1", "type": "ip4", "value": "\xff"}\n')
+        profiles = tmp_path / "profiles.json"
+        self.write_profiles(profiles, {"a": ["ip4"], "b": ["ip4"]})
+        code, out, err = run(
+            capsys, "compare", "--outputs-dir", str(out_dir), "--profiles", str(profiles)
+        )
+        assert code == 1
+        assert err == f"iockit: {out_dir / 'a.jsonl'}:2: not UTF-8\n"
+        assert json.loads(out)["tools"]["a"]["types"]["ip4"]["tp"] == 1
+
     def test_unknown_types_skipped_with_warning(self, tmp_path, capsys):
         out_dir = tmp_path / "outputs"
         self.write_outputs(out_dir, {
@@ -616,3 +684,52 @@ def test_compare_unopenable_csv_writes_no_report(corpus_dir, tranco_file, capsys
     assert code == 2
     assert out == ""
     assert not report_path.exists()
+
+
+#: Inputs a command cannot use, each given to it in place of a good one:
+#: name -> (command, option, file content, exit code, end of the message).
+UNUSABLE_INPUTS = {
+    "manifest not UTF-8": ("extract", "--manifest", b"# docs\n\xff\n", 2, ":2: not UTF-8"),
+    "catalog not UTF-8": (
+        "extract", "--catalog", b"md5\t[0-9a-f]{32}\r\n\xe9\n", 2, ":2: not UTF-8"),
+    "tld file not UTF-8": ("extract", "--tld-file", b"com\nn\xc3t\n", 2, ":2: not UTF-8"),
+    "bad catalog line": ("extract", "--catalog", b"md5\t(unclosed\n", 2, ":1: bad regex"),
+    "bad tranco line": (
+        "filter", "--tranco", b"1,good.com\nnot-a-rank,x.com\n", 2, ":2: expected 'rank,domain'"),
+    "tranco rank not ASCII": (
+        "filter", "--tranco", "\u00b2,example.com\n".encode(), 2, ":1: expected 'rank,domain'"),
+    "profiles bad JSON": ("compare", "--profiles", b'{"a":\n [', 2, ":2: bad JSON"),
+    "profiles not UTF-8": ("compare", "--profiles", b'{"a": ["\xff"]}', 2, ": not UTF-8"),
+    "profiles a list": ("compare", "--profiles", b'["ip4"]', 2, ": expected an object"),
+    "profiles a number": ("compare", "--profiles", b'{"a": 3}', 2, ": expected an object"),
+    "profiles a string": ("compare", "--profiles", b'{"a": "ip4"}', 2, ": expected an object"),
+    "profiles unknown type": (
+        "compare", "--profiles", b'{"a": ["yara"]}', 2, ": unsupported indicator type: 'yara'"),
+    "manifest bad line": ("extract", "--manifest", None, 1, ":4: expected 4 tab-separated"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_INPUTS)
+def test_unusable_input_is_reported_with_its_path(corpus_dir, tranco_file, capsys, case):
+    command, option, content, expected_code, message_end = UNUSABLE_INPUTS[case]
+    bad = corpus_dir / "bad-input"
+    if content is None:  # a good manifest with one malformed line at the end
+        content = (corpus_dir / "manifest.tsv").read_bytes() + b"only one field\n"
+    bad.write_bytes(content)
+    argv = _argv_writing_to(command, corpus_dir, tranco_file, corpus_dir / "out")
+    code, out, err = run(capsys, *argv, option, str(bad))
+    assert code == expected_code
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"iockit: {bad}{message_end}"), err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+def test_doc_freq_threshold_must_be_finite(corpus_dir, tranco_file, capsys, value):
+    argv = _argv_writing_to("filter", corpus_dir, tranco_file, corpus_dir / "out")
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, f"--doc-freq-threshold={value}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: iockit filter")
+    assert err.endswith(f"error: argument --doc-freq-threshold: not a finite number: {value!r}\n")

@@ -68,6 +68,18 @@ class TestManifest:
         with pytest.raises(MalformedLineError) as err:
             load_manifest(tmp_path / "manifest.tsv")
         assert err.value.line_no == 1
+        assert err.value.path == str(tmp_path / "manifest.tsv")
+
+    def test_nul_in_document_path_is_a_malformed_line(self, tmp_path):
+        doc_id, name = write_doc(tmp_path, "doc.txt", "x")
+        (tmp_path / "manifest.tsv").write_text(
+            f"{'0' * 64}\tdo\0c.txt\trss:a\ttext\n{doc_id}\t{name}\trss:a\ttext\n"
+        )
+        records, errors = load_manifest(tmp_path / "manifest.tsv", strict=False)
+        assert [r.doc_id for r in records] == [doc_id]
+        assert [str(e) for e in errors] == [
+            f"{tmp_path / 'manifest.tsv'}:1: document path holds a NUL character"
+        ]
 
     def test_unknown_format(self, tmp_path):
         doc_id, name = write_doc(tmp_path, "doc.pdf", "x")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iockit.defang import DEFAULT_CATALOG, DefangCatalog, defang, load_rules, rearm
-from iockit.errors import InapplicableRuleError, MissingFileError
+from iockit.errors import InapplicableRuleError, MalformedLineError, MissingFileError
 from iockit.types import IndicatorType
 
 from conftest import PLANT_RULES, ValueForge
@@ -110,11 +110,13 @@ def test_load_rules_missing_file(tmp_path):
 def test_load_rules_malformed(tmp_path):
     path = tmp_path / "rules.tsv"
     path.write_text("only\ttwo\n")
-    with pytest.raises(InapplicableRuleError):
+    with pytest.raises(MalformedLineError) as err:
         load_rules(path)
-    path.write_text("r1\t[.]\t.\tnot_a_type\n")
-    with pytest.raises(ValueError):
+    assert (err.value.path, err.value.line_no) == (str(path), 1)
+    path.write_text("# comment\nr1\t[.]\t.\tnot_a_type\n")
+    with pytest.raises(MalformedLineError) as err:
         load_rules(path)
+    assert (err.value.path, err.value.line_no) == (str(path), 2)
 
 
 def test_catalog_is_data_driven():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iockit.defang import rearm
-from iockit.errors import CatalogParseError, MissingFileError
+from iockit.errors import MalformedLineError, MissingFileError
 from iockit.extractor import (
     Extractor,
     _drop_same_type_overlaps,
@@ -15,10 +15,9 @@ from iockit.extractor import (
     extract,
     extract_raw,
     load_catalog,
-    parse_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import _URL_PATH_CHAR, GATES, HEX_RUNS, default_entries
+from iockit.patterns import _URL_PATH_CHAR, GATES, HEX_RUNS, PatternEntry, default_entries
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import validate
 
@@ -205,14 +204,29 @@ class TestCatalogLoading:
         lines = ["# header"] + [f"md5\t[0-9a-f]{{{n}}}" for n in range(32, 37)] + ["url\t(unclosed"]
         path = tmp_path / "patterns.tsv"
         path.write_text("\n".join(lines))
-        with pytest.raises(CatalogParseError) as err:
+        with pytest.raises(MalformedLineError) as err:
             load_catalog(path, default_tld_path())
         assert err.value.line_no == 7
+        assert err.value.path == str(path)
 
-    def test_unknown_type_rejected_with_line(self):
-        with pytest.raises(CatalogParseError) as err:
-            parse_catalog("md5\t[0-9a-f]{32}\nyara\trule .*")
+    @pytest.mark.parametrize(
+        "expression", ["a{99999999999}", "(" * 1000 + ")" * 1000], ids=["overflow", "recursion"]
+    )
+    def test_uncompilable_expression_reported_with_line(self, tmp_path, expression):
+        path = tmp_path / "patterns.tsv"
+        path.write_text(f"md5\t[0-9a-f]{{32}}\nsha1\t{expression}\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_catalog(path, default_tld_path())
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+        assert str(err.value).startswith(f"{path}:2: bad regex: ")
+
+    def test_unknown_type_rejected_with_line(self, tmp_path):
+        path = tmp_path / "patterns.tsv"
+        path.write_text("md5\t[0-9a-f]{32}\nyara\trule .*")
+        with pytest.raises(MalformedLineError) as err:
+            load_catalog(path, default_tld_path())
         assert err.value.line_no == 2
+        assert err.value.path == str(path)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(MissingFileError):
@@ -399,9 +413,11 @@ def reference_extract_raw(extractor, text, validation=True):
 
 _BUILT_IN = {e.type: e.expression for e in default_entries()}
 #: The md5 expression under two types: the second runs as its own pass.
-_HEX_TWICE = (
-    f"md5\t{_BUILT_IN[T.MD5]}\nsha1\t{_BUILT_IN[T.MD5]}\nethereum\t{_BUILT_IN[T.ETHEREUM]}\n"
-)
+_HEX_TWICE = [
+    PatternEntry(T.MD5, _BUILT_IN[T.MD5], 1),
+    PatternEntry(T.SHA1, _BUILT_IN[T.MD5], 2),
+    PatternEntry(T.ETHEREUM, _BUILT_IN[T.ETHEREUM], 3),
+]
 
 #: Extractors whose planned scan is checked: name -> (factory, validation).
 PLANNED = {
@@ -413,7 +429,7 @@ PLANNED = {
     "ethereum": (lambda: Extractor.default().restrict([T.ETHEREUM]), True),
     "sha1+ethereum": (lambda: Extractor.default().restrict([T.SHA1, T.ETHEREUM]), True),
     "md5+sha512": (lambda: Extractor.default().restrict([T.MD5, T.SHA512]), True),
-    "hex-twice": (lambda: Extractor(parse_catalog(_HEX_TWICE), validation=False), False),
+    "hex-twice": (lambda: Extractor(_HEX_TWICE, validation=False), False),
 }
 
 

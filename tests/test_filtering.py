@@ -2,7 +2,7 @@ from importlib.resources import files
 
 import pytest
 
-from iockit.errors import MalformedTrancoError, MissingFileError
+from iockit.errors import MalformedLineError, MissingFileError
 from iockit.filtering import (
     DEFAULT_DOC_FREQ_THRESHOLD,
     DEFAULT_MIN_ORIGIN_DOCS,
@@ -111,9 +111,23 @@ class TestTranco:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,good.com\nnot-a-rank,x.com\n")
-        with pytest.raises(MalformedTrancoError) as err:
+        with pytest.raises(MalformedLineError) as err:
             load_tranco(path)
         assert err.value.line_no == 2
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("rank", ["\u00b2", "\u0661", "\uff11"])
+    def test_rank_is_ascii_digits(self, tmp_path, rank):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,good.com\n{rank},example.com\n", encoding="utf-8")
+        with pytest.raises(MalformedLineError) as err:
+            load_tranco(path)
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "top.csv"
+        path.write_text("# rank,domain\n\n1,a.com\n  # 2,b.com\n3,c.com\n")
+        assert load_tranco(path) == frozenset({"a.com", "c.com"})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
@@ -199,25 +213,6 @@ class TestApplyFilter:
 
 
 class TestStatsMerge:
-    def test_merge_equals_sequential(self):
-        a, b, combined = CorpusStats(), CorpusStats(), CorpusStats()
-        docs = [
-            (["rss:one.com"], [ind(T.IP4, "1.1.1.1")]),
-            (["rss:two.com"], [ind(T.IP4, "1.1.1.1"), ind(T.FQDN, "x.com")]),
-            (["rss:one.com"], [ind(T.FQDN, "x.com")]),
-        ]
-        for origins, indicators in docs[:2]:
-            a.add_document(origins, indicators)
-        for origins, indicators in docs[2:]:
-            b.add_document(origins, indicators)
-        for origins, indicators in docs:
-            combined.add_document(origins, indicators)
-        a.merge(b)
-        assert a.total_docs == combined.total_docs
-        assert a.per_origin_doc_counts == combined.per_origin_doc_counts
-        assert a.doc_counts == combined.doc_counts
-        assert a.origin_domains == combined.origin_domains
-
     def test_doc_frequency_fractions(self):
         stats = CorpusStats()
         stats.add_document(["rss:a"], [ind(T.IP4, "1.1.1.1")])

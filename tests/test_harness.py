@@ -181,15 +181,6 @@ class TestMetrics:
         overall = metrics(counters, profiles)["tool"]["overall"]
         assert overall["tp"] == 5 and overall["fp"] == 0
 
-    def test_merge(self):
-        a, b = AccuracyCounters(), AccuracyCounters()
-        a.cell("x", T.IP4).tp = 1
-        b.cell("x", T.IP4).fp = 2
-        b.positives[T.IP4] = 3
-        a.merge(b)
-        assert a.cell("x", T.IP4).tp == 1 and a.cell("x", T.IP4).fp == 2
-        assert a.positives[T.IP4] == 3
-
 
 class TestReports:
     def _counters(self):
