@@ -20,7 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, filtering, harness
-from .errors import IockitError, MalformedLineError, OutputFileError, UnknownTypeError
+from .errors import (
+    HashMismatchError, IockitError, MalformedLineError, OutputFileError, UnknownTypeError,
+)
 from .extractor import Extractor, default_catalog_path, default_tld_path, load_catalog
 from .normalize import normalize
 from .types import Indicator, IndicatorType, normalize_type_name
@@ -58,10 +60,9 @@ def _open_outputs(*paths):
         yield streams
 
 
-def _load_manifest(path, verify: bool) -> tuple[list[corpus.DocumentRecord], bool]:
-    """The manifest's loadable documents, and whether any failed to load;
-    each failure is reported. ``verify`` re-hashes every document."""
-    records, errors = corpus.load_manifest(path, strict=False, verify=verify)
+def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
+    """The manifest's loadable documents, and whether any failed (each is reported)."""
+    records, errors = corpus.load_manifest(path, strict=False)
     for exc in errors:
         _err(str(exc))
     return records, bool(errors)
@@ -160,59 +161,59 @@ def _worker_init(extractor: Extractor, raw: bool) -> None:
     _WORKER = (extractor, raw)
 
 
-def _extract_lines(record: corpus.DocumentRecord) -> list[str] | OSError:
-    """One document's output lines, or the OSError that stopped reading it."""
+def _extract_lines(record: corpus.DocumentRecord) -> tuple[bool, str]:
+    """One document from its bytes to its output lines: ``(True, output)``,
+    or ``(False, message)`` for the error that stopped it. The message, not
+    the exception, crosses back from a pool worker: HashMismatchError does
+    not survive pickling."""
     extractor, raw = _WORKER
     try:
         text = record.read_text()
+    except HashMismatchError as exc:
+        return False, str(exc)
     except OSError as exc:
-        return exc
+        return False, f"{record.doc_id}: {exc}"
     if record.format == "html":
         text = corpus.extract_text(text)
     if raw:
-        return [
-            json.dumps(
-                {
-                    "doc_id": record.doc_id,
-                    "type": m.type.value,
-                    "value": m.rearmed,
-                    "start": m.start,
-                    "raw": m.raw,
-                }
-            )
+        rows = (
+            {"doc_id": record.doc_id, "type": m.type.value, "value": m.rearmed,
+             "start": m.start, "raw": m.raw}
             for m in extractor.extract_raw(text)
-        ]
-    return [
-        json.dumps({"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value})
-        for ind in extractor.extract(text)
-    ]
+        )
+    else:
+        rows = (
+            {"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value}
+            for ind in extractor.extract(text)
+        )
+    return True, "".join(f"{json.dumps(row)}\n" for row in rows)
 
 
 def cmd_extract(args) -> int:
     extractor = _build_extractor(args)
-    records, failed = _load_manifest(args.manifest, verify=True)
+    records, failed = _load_manifest(args.manifest)
     with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
         if args.jobs > 1:
             pool = ProcessPoolExecutor(
                 args.jobs, initializer=_worker_init, initargs=(extractor, args.raw)
             )
-            results = stack.enter_context(pool).map(_extract_lines, records, chunksize=1)
+            # A run that stops early (the reader closed stdout) runs no more documents.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_extract_lines, records, chunksize=1)
         else:
             _worker_init(extractor, args.raw)
             results = map(_extract_lines, records)
-        for record, lines in zip(records, results):
-            if isinstance(lines, OSError):
-                _err(f"{record.doc_id}: {lines}")
+        for ok, text in results:
+            if ok:
+                out.write(text)
+            else:
+                _err(text)
                 failed = True
-                continue
-            for line in lines:
-                print(line, file=out)
     return 1 if failed else 0
 
 
 def cmd_filter(args) -> int:
-    # Filter needs only each document's origins, so it reads no document.
-    records, failed = _load_manifest(args.manifest, verify=False)
+    records, failed = _load_manifest(args.manifest)
     known = {record.doc_id for record in records}
     by_doc: dict[str, set[Indicator]] = defaultdict(set)
     reader = _IndicatorLines([args.indicators], ("doc_id",))
@@ -414,7 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`iockit extract ... | head -1`).
+        # Point stdout at devnull so the interpreter's final flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (IockitError, OSError) as exc:
         located = isinstance(exc, OSError) and exc.filename is not None
         _err(f"{exc.filename}: {exc.strerror}" if located else str(exc))

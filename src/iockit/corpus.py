@@ -39,19 +39,23 @@ class DocumentRecord:
     format: str
 
     def read_text(self) -> str:
-        """Decode the document as UTF-8 (lossy on invalid bytes)."""
-        return self.path.read_bytes().decode("utf-8", errors="replace")
+        """The document decoded as UTF-8 (lossy on invalid bytes), read once;
+        HashMismatchError when the bytes read do not hash to ``doc_id``."""
+        data = self.path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != self.doc_id:
+            raise HashMismatchError(self.doc_id, str(self.path))
+        return data.decode("utf-8", errors="replace")
 
 
-def load_manifest(path: str | Path, strict: bool = True, *, verify: bool = True):
+def load_manifest(path: str | Path, strict: bool = True):
     """Read a manifest of ``doc_id<TAB>path<TAB>origin<TAB>format`` lines.
 
     Records come back in file order, with duplicate doc_ids collapsed into
-    one record with merged origins. Each file is re-hashed on load; a
-    mismatch raises HashMismatchError (strict mode) or is returned in the
-    error list (``strict=False`` returns ``(records, errors)``).
-    ``verify=False`` trusts the manifest's doc_ids: a missing file is still
-    an error, but no file is read or hashed.
+    one record with merged origins; a doc_id listed with two paths keeps
+    the first. No document is opened: a missing file is found with
+    ``stat``, and a document's hash is checked only when ``read_text``
+    reads it. An error is raised (strict mode) or returned in the error
+    list (``strict=False`` returns ``(records, errors)``).
     """
     path = Path(path)
     base = path.parent
@@ -87,9 +91,6 @@ def load_manifest(path: str | Path, strict: bool = True, *, verify: bool = True)
             continue
         if not doc_path.is_file():
             fail(MissingFileError(doc_path))
-            continue
-        if verify and hashlib.sha256(doc_path.read_bytes()).hexdigest() != doc_id:
-            fail(HashMismatchError(doc_id, str(doc_path)))
             continue
         by_id[doc_id] = DocumentRecord(doc_id, doc_path, (origin,), fmt)
         order.append(doc_id)

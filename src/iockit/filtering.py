@@ -170,9 +170,7 @@ def build_blocklist(
     )
     threshold = Fraction(str(doc_freq_threshold))
     ubiquitous = frozenset(
-        key
-        for key, count in stats.doc_counts.items()
-        if stats.total_docs and Fraction(count, stats.total_docs) > threshold
+        key for key, frequency in stats.doc_frequency.items() if frequency > threshold
     )
     return DynamicBlocklist(
         origin_domains=frozenset(stats.origin_domains),

@@ -143,7 +143,61 @@ class TestExtractCommand:
         # the map over the remaining documents, in a worker or in-process.
         cli._worker_init(Extractor.default(), False)
         gone = corpus.DocumentRecord("0" * 64, tmp_path / "gone.txt", ("rss:x",), "text")
-        assert isinstance(cli._extract_lines(gone), OSError)
+        ok, message = cli._extract_lines(gone)
+        assert not ok
+        assert message.startswith(f"{'0' * 64}: [Errno 2] No such file or directory")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_document_edited_after_load_is_not_extracted(
+        self, corpus_dir, capsys, monkeypatch, jobs
+    ):
+        # The hash is checked on the bytes that are extracted, not on an
+        # earlier read: edit a document between loading and reading.
+        manifest = corpus_dir / "manifest.tsv"
+        with manifest.open("a") as fh:
+            fh.write("not a manifest line\n")
+        load = corpus.load_manifest
+
+        def load_then_edit(path, strict=True):
+            loaded = load(path, strict)
+            (corpus_dir / "a.txt").write_text("edited: c2 7.7.7.7")
+            return loaded
+
+        monkeypatch.setattr(corpus, "load_manifest", load_then_edit)
+        [edited] = [r for r in load(manifest, False)[0] if r.path.name == "a.txt"]
+        code, out, err = run(capsys, "extract", "--manifest", str(manifest), "--jobs", jobs)
+        assert code == 1
+        assert err.splitlines() == [
+            f"iockit: {manifest}:4: expected 4 tab-separated fields, got 1",
+            f"iockit: content of {edited.path} does not hash to {edited.doc_id}",
+        ]
+        rows = jlines(out)
+        assert rows and edited.doc_id not in {r["doc_id"] for r in rows}
+        assert "7.7.7.7" not in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_reader_closing_stdout_early_ends_the_run_quietly(self, tmp_path, jobs):
+        # The run writes about ten pipe buffers (64 KiB each) over 20
+        # documents; the reader takes one line and closes the pipe.
+        import subprocess
+        import sys
+
+        rows = []
+        for doc in range(20):
+            hashes = (hashlib.md5(f"{doc}.{i}".encode()).hexdigest() for i in range(250))
+            rows.append(add_doc(tmp_path, f"{doc}.txt", " ".join(hashes)))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(rows) + "\n")
+        argv = [sys.executable, "-m", "iockit.cli", "extract", "--manifest", str(manifest)]
+        with subprocess.Popen(
+            argv + ["--jobs", jobs], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert json.loads(first)["type"] == "md5"
+        assert err == b""
+        assert proc.returncode == 1
 
     def test_out_file(self, corpus_dir, capsys):
         target = corpus_dir / "out.jsonl"

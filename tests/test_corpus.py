@@ -44,9 +44,11 @@ class TestManifest:
         _, name = write_doc(tmp_path, "doc.txt", "actual content")
         fake = "0" * 64
         (tmp_path / "manifest.tsv").write_text(f"{fake}\t{name}\trss:a\ttext\n")
+        [record] = load_manifest(tmp_path / "manifest.tsv")
         with pytest.raises(HashMismatchError) as err:
-            load_manifest(tmp_path / "manifest.tsv")
+            record.read_text()
         assert err.value.doc_id == fake
+        assert err.value.path == str(record.path)
 
     def test_unverified_load_reads_no_document(self, tmp_path, monkeypatch):
         doc_id, name = write_doc(tmp_path, "doc.txt", "original content")
@@ -59,7 +61,7 @@ class TestManifest:
             raise AssertionError(f"read {self}")
 
         monkeypatch.setattr(Path, "read_bytes", no_read)
-        records, errors = load_manifest(tmp_path / "manifest.tsv", False, verify=False)
+        records, errors = load_manifest(tmp_path / "manifest.tsv", False)
         assert [(r.doc_id, r.origins) for r in records] == [(doc_id, ("rss:a",))]
         assert [type(e) for e in errors] == [MissingFileError]
 
