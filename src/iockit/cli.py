@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
 import sys
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus, filtering, harness
@@ -32,6 +32,19 @@ def _err(message: str) -> None:
     print(f"iockit: {message}", file=sys.stderr)
 
 
+def _stdout(stack: contextlib.ExitStack):
+    """sys.stdout, or a buffered stream on its file when its bytes go there
+    unbuffered (``python -u``, PYTHONUNBUFFERED): an unbuffered write that a
+    reader closing the pipe cuts short is dropped without an error, and a
+    buffered one completes or raises."""
+    if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        return sys.stdout
+    return stack.enter_context(open(
+        sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors,
+        closefd=False,
+    ))
+
+
 @contextlib.contextmanager
 def _open_outputs(*paths):
     """A stream to write for each path, stdout for None or '-' (left open).
@@ -39,10 +52,12 @@ def _open_outputs(*paths):
     opened, OutputFileError is raised, the others keep their content, and
     those this call created are removed."""
     with contextlib.ExitStack() as stack:
+        stdout = None
         streams, created = [], []
         for path in paths:
             if path in (None, "-"):
-                streams.append(sys.stdout)
+                stdout = stdout or _stdout(stack)
+                streams.append(stdout)
                 continue
             existed = os.path.lexists(path)
             try:
@@ -55,7 +70,7 @@ def _open_outputs(*paths):
             if not existed:
                 created.append(path)
         for stream in streams:
-            if stream is not sys.stdout and stream.seekable():
+            if stream is not stdout and stream.seekable():
                 stream.truncate(0)
         yield streams
 
@@ -194,6 +209,9 @@ def cmd_extract(args) -> int:
     records, failed = _load_manifest(args.manifest)
     with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
         if args.jobs > 1:
+            # Only a pool needs this module, and it is slow to import.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(
                 args.jobs, initializer=_worker_init, initargs=(extractor, args.raw)
             )

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, Sequence
 from .defang import DEFAULT_CATALOG, DefangCatalog
 from .errors import DATA, MalformedLineError, read_lines
 from .normalize import normalize
-from .patterns import GATES, HEX_RUN, HEX_RUNS, PatternEntry, default_entries
+from .patterns import ANCHORS, GATES, HEX_RUN, HEX_RUNS, PatternEntry, default_entries
 from .types import Indicator, IndicatorType, RawMatch
 from .validators import DEFAULT_TLDS, load_tlds, validate
 
@@ -37,6 +37,47 @@ def _hex_shape(raw: str) -> tuple[str, int]:
     return prefix, len(raw) - len(prefix)
 
 
+#: Anchors closer together than this on average, counted from the start of
+#: the text, cost more to window than the windows skip: two or more seen at
+#: this density send the rest of the text to ``finditer``.
+_DENSE_SPACING = 32
+
+
+def _anchored(
+    pattern: re.Pattern[str], anchor: re.Pattern[str], reach: int, start: re.Pattern[str],
+    text: str,
+) -> Iterator[re.Match[str]]:
+    """``pattern.finditer(text)``, where every match holds an ``anchor``
+    match at most ``reach`` characters after its start, and ``start`` finds
+    where matches can begin before an anchor (see ``patterns.Anchor``).
+
+    For each anchor after the last match, ``pattern`` is tried where
+    ``start`` matches in the ``reach`` before it that no earlier window
+    tried, in order; the first hit is the match ``finditer`` would return
+    next. Once the anchors seen are dense, the rest of the text goes to
+    ``finditer``.
+    """
+    pos = tried = seen = 0
+    for found in anchor.finditer(text):
+        a = found.start()
+        if a <= pos:
+            continue
+        seen += 1
+        if seen > 1 and seen * _DENSE_SPACING > a:
+            # Every start before ``tried`` is settled.
+            yield from pattern.finditer(text, max(pos, tried))
+            return
+        s = max(pos, a - reach, tried)
+        while (candidate := start.search(text, s, a)) is not None:
+            m = pattern.match(text, candidate.start())
+            if m is None:
+                s = candidate.start() + 1
+            else:
+                yield m
+                s = pos = m.end()
+        tried = a
+
+
 class Extractor:
     """Immutable extraction handle; safe to share across workers.
 
@@ -44,10 +85,11 @@ class Extractor:
     validators, and the defang rule catalog used to rearm matches.
 
     The catalog is compiled into a scan plan (see ``patterns``): each entry
-    whose expression has a gate runs only on text holding a gate literal,
-    and the built-in fixed-length hex expressions share one ``HEX_RUN``
-    pass when they have two or more shapes. Every other entry runs as
-    written. Results are those of one ``finditer`` pass per entry.
+    whose expression has an anchor is tried only near its anchors, each
+    one with a gate runs only on text holding a gate literal, and the
+    built-in fixed-length hex expressions share one ``HEX_RUN`` pass when
+    they have two or more shapes. Every other entry runs as written.
+    Results are those of one ``finditer`` pass per entry.
     """
 
     def __init__(
@@ -58,7 +100,8 @@ class Extractor:
         validation: bool = True,
     ):
         self._entries = tuple(sorted(entries, key=lambda e: e.priority))
-        # (pattern, gate literals, type) of each pass that runs on its own.
+        # (pattern, gate literals, compiled anchor or None, type) of each
+        # pass that runs on its own.
         passes = []
         # Shape of a HEX_RUN match -> its type, for the entries sharing it.
         # One shape alone runs its own expression, which is cheaper.
@@ -70,7 +113,10 @@ class Extractor:
                 self._hex_types[shape] = entry.type
             else:
                 gate = GATES.get(entry.expression, ())
-                passes.append((re.compile(entry.expression), gate, entry.type))
+                anchor = ANCHORS.get(entry.expression)
+                if anchor is not None:
+                    anchor = (re.compile(anchor.expression), anchor.reach, re.compile(anchor.start))
+                passes.append((re.compile(entry.expression), gate, anchor, entry.type))
         self._passes = tuple(passes)
         self._hex_run = re.compile(HEX_RUN) if self._hex_types else None
         self._tlds = frozenset(tlds)
@@ -134,10 +180,14 @@ class Extractor:
     def _scan(self, text: str) -> Iterator[tuple[IndicatorType, re.Match[str]]]:
         """Every pattern match in ``text`` with its type, pass by pass."""
         lowered = text.lower()
-        for pattern, gate, ind_type in self._passes:
-            if gate and not any(literal in lowered for literal in gate):
+        for pattern, gate, anchor, ind_type in self._passes:
+            if anchor is not None:
+                matches = _anchored(pattern, *anchor, text)
+            elif gate and not any(literal in lowered for literal in gate):
                 continue
-            for m in pattern.finditer(text):
+            else:
+                matches = pattern.finditer(text)
+            for m in matches:
                 yield ind_type, m
         if self._hex_run is not None:
             for m in self._hex_run.finditer(text):

@@ -112,15 +112,16 @@ class CorpusStats:
             if reg:
                 self.origin_domains.add(reg)
 
-    @property
-    def doc_frequency(self) -> dict[tuple[IndicatorType, str], Fraction]:
-        """Fraction of all documents containing each indicator."""
-        if not self.total_docs:
-            return {}
-        return {
-            key: Fraction(count, self.total_docs)
+    def ubiquitous(self, threshold: float) -> frozenset[tuple[IndicatorType, str]]:
+        """Rule 4: the indicators in strictly more than ``threshold`` of all
+        documents, compared exactly (as the decimal the threshold prints as)
+        in integers."""
+        limit = Fraction(str(threshold))
+        return frozenset(
+            key
             for key, count in self.doc_counts.items()
-        }
+            if count * limit.denominator > limit.numerator * self.total_docs
+        )
 
 
 @dataclass(frozen=True)
@@ -168,15 +169,11 @@ def build_blocklist(
         for (_origin, key), count in stats.per_origin_doc_counts.items()
         if count >= min_origin_docs
     )
-    threshold = Fraction(str(doc_freq_threshold))
-    ubiquitous = frozenset(
-        key for key, frequency in stats.doc_frequency.items() if frequency > threshold
-    )
     return DynamicBlocklist(
         origin_domains=frozenset(stats.origin_domains),
         frequent_per_origin=frequent,
         popular_domains=load_tranco(tranco_file),
-        ubiquitous=ubiquitous,
+        ubiquitous=stats.ubiquitous(doc_freq_threshold),
         suffix_rules=stats.suffix_rules,
     )
 

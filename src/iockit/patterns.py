@@ -25,8 +25,8 @@ Nested unbounded quantifiers and lookbehind-heavy forms are avoided; the
 test suite enforces a time budget on adversarial inputs for every entry.
 The URL backslash obfuscation is deliberately unsupported.
 
-The extractor skips passes that cannot match. Both tables below are keyed
-by expression source, so a catalog file that repeats a built-in expression
+The extractor skips work that cannot match. The tables below are keyed by
+expression source, so a catalog file that repeats a built-in expression
 gets the same treatment, and any other expression runs as written:
 
 * ``GATES``: a gate is a set of lowercase literals such that the lowered
@@ -39,28 +39,55 @@ gets the same treatment, and any other expression runs as written:
   extractor holds two or more of their shapes, they share one ``HEX_RUN``
   pass; a match goes to the type whose ``(prefix, digits)`` it has, and is
   dropped when no type held by the extractor has that shape.
+* ``ANCHORS``: fqdn and email, which have no useful gate, are tried only
+  near their anchors. Every match holds an anchor that begins at most
+  ``reach`` characters after the match starts: an at-form after an email's
+  local part (64 units of up to 5 characters, so 320, or 64 without
+  defang forms), a dot form and a label character after an fqdn's first
+  label (63). The anchor expression consumes only a form's first character
+  and looks ahead for the rest, so ``finditer`` reports every anchor,
+  overlapping ones too (``_at_at_``). For each anchor after the last
+  match, the extractor tries the expression at the positions in the
+  ``reach`` before it that no earlier window tried and where ``start``
+  holds: the guard, then only what a match can hold before the anchor (a
+  label for fqdn, local-part units for email) up to the anchor, so most
+  windows try one position. The first hit is the match ``finditer`` would
+  return, since a match starting earlier would hold an earlier anchor.
+  Where anchors are very dense, as in lists of addresses, windows cost more
+  than they skip: once two or more anchors average under 32 characters
+  apart from the start of the text, the rest of it goes to one
+  ``finditer`` pass. Which path a text takes changes only speed.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .types import IndicatorType
 
 _T = IndicatorType
 
-# Armed-or-defanged separators. The plain variants are used when defang
-# support is disabled.
-_DOT = r"(?:\.|\[\.\]|\(\.\)|\[dot\]|\(dot\))"
-_PLAIN_DOT = r"\."
-_AT = r"(?:@|\[at\]|\(at\)|_at_)"
-_PLAIN_AT = "@"
+# Armed-or-defanged separators, as literal forms. The plain variants are
+# used when defang support is disabled.
+_DOTS = (".", "[.]", "(.)", "[dot]", "(dot)")
+_PLAIN_DOTS = (".",)
+_ATS = ("@", "[at]", "(at)", "_at_")
+_PLAIN_ATS = ("@",)
 # A scheme after its first letter, which the URL expression matches as [hf].
 _SCHEME = r"(?:(?<=h)(?:tt|xx)ps?|(?<=f)tps?)"
 _PLAIN_SCHEME = r"(?:(?<=h)ttps?|(?<=f)tps?)"
 _SEP = r"(?::|\[:\])//"
 _PLAIN_SEP = "://"
 
-_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_-]{0,62}+(?<!-)"
+_LABEL_START = "[A-Za-z0-9_]"
+_LABEL_CHAR = "[A-Za-z0-9_-]"
+_LABEL = rf"{_LABEL_START}{_LABEL_CHAR}{{0,62}}+(?<!-)"
+#: What may not precede a match: the guards of fqdn and email.
+_FQDN_GUARD = r"[\w.\-\])]"
+_EMAIL_GUARD = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~.\-]"
+_LOCAL_CHAR = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~\-]"
+#: Most units (characters or dot forms) in an email local part.
+_LOCAL_UNITS = 64
 _TLD = r"(?:[A-Za-z]{2,63}|[Xx][Nn]--[A-Za-z0-9-]{1,59})"
 # The left guard, placed after the first character of a match.
 _HEX_GUARD_L = r"(?<![A-Za-z0-9].)"
@@ -78,9 +105,18 @@ _REGKEY_HIVE = (
 _REGKEY_SEGMENT = r"[A-Za-z0-9_.\-{}()@~#$%^&+=!']{1,128}"
 
 
-def _sources(dot: str, at: str, scheme: str, sep: str) -> dict[IndicatorType, str]:
+def _either(forms: tuple[str, ...]) -> str:
+    """An expression matching any one of the literal ``forms``."""
+    escaped = "|".join(map(re.escape, forms))
+    return escaped if len(forms) == 1 else f"(?:{escaped})"
+
+
+def _sources(
+    dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, sep: str
+) -> dict[IndicatorType, str]:
+    dot, at = _either(dots), _either(ats)
     domain_body = rf"(?:{_LABEL}{dot}){{1,126}}{_TLD}"
-    local = rf"(?:[A-Za-z0-9!#$%&'*+/=?^_`{{|}}~\-]|{dot}){{1,64}}"
+    local = rf"(?:{_LOCAL_CHAR}|{dot}){{1,{_LOCAL_UNITS}}}"
     host = rf"(?:[A-Za-z0-9_\-]{{1,63}}(?:{dot}[A-Za-z0-9_\-]{{1,63}}){{0,126}}|\[[0-9A-Fa-f:.]{{2,45}}\])"
     return {
         _T.IP4: (
@@ -92,12 +128,12 @@ def _sources(dot: str, at: str, scheme: str, sep: str) -> dict[IndicatorType, st
             r"(?:[0-9A-Fa-f]{0,4}:){1,6}"
             r"(?:[0-9A-Fa-f]{1,4}|(?:\d{1,3}\.){3}\d{1,3})?(?![\w:])(?!\.\d)"
         ),
-        _T.FQDN: rf"(?<![\w.\-\])]){domain_body}(?!\w)",
+        _T.FQDN: rf"(?<!{_FQDN_GUARD}){domain_body}(?!\w)",
         _T.URL: (
             rf"[hf](?<![\w.\-@].){scheme}{sep}{host}(?::\d{{1,5}})?(?:[/?#]{_URL_PATH_CHAR}*)?"
         ),
         _T.EMAIL: (
-            rf"(?<![A-Za-z0-9!#$%&'*+/=?^_`{{|}}~.\-]){local}{at}{domain_body}(?!\w)"
+            rf"(?<!{_EMAIL_GUARD}){local}{at}{domain_body}(?!\w)"
         ),
         _T.MD5: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{31}}{_HEX_GUARD_R}",
         _T.SHA1: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{39}}{_HEX_GUARD_R}",
@@ -136,8 +172,8 @@ class PatternEntry:
     priority: int
 
 
-_DEFANGED = (_DOT, _AT, _SCHEME, _SEP)
-_PLAIN = (_PLAIN_DOT, _PLAIN_AT, _PLAIN_SCHEME, _PLAIN_SEP)
+_DEFANGED = (_DOTS, _ATS, _SCHEME, _SEP)
+_PLAIN = (_PLAIN_DOTS, _PLAIN_ATS, _PLAIN_SCHEME, _PLAIN_SEP)
 
 
 def default_entries(defanged: bool = True) -> list[PatternEntry]:
@@ -150,7 +186,8 @@ def default_entries(defanged: bool = True) -> list[PatternEntry]:
 
 
 #: Gate literals of the built-in expressions, by type. Types left out
-#: (ip4, fqdn, asn, iban, bitcoin, monero) have no literal every match holds.
+#: (ip4, asn, iban, bitcoin, monero) have no literal every match holds;
+#: fqdn and email have anchors instead.
 _GATE_LITERALS: dict[IndicatorType, tuple[str, ...]] = {
     _T.CVE: ("cve-",),
     _T.GOOGLE_ANALYTICS: ("ua-",),
@@ -162,7 +199,6 @@ _GATE_LITERALS: dict[IndicatorType, tuple[str, ...]] = {
     _T.MAC_ADDRESS: (":", "-"),
     _T.IP4CIDR: ("/",),
     _T.URL: ("//",),
-    _T.EMAIL: ("@", "[at]", "(at)", "_at_"),
 }
 
 #: The (prefix, hex digits) shape of each fixed-length hex type.
@@ -182,17 +218,65 @@ HEX_RUN = (
 )
 
 
-def _by_source(by_type: dict) -> dict:
-    """``by_type`` keyed by each type's expression source, in both variants."""
+@dataclass(frozen=True)
+class Anchor:
+    """Where the matches of an expression can start. Each match holds an
+    occurrence of ``expression`` (an anchor) that begins at most ``reach``
+    characters after the match starts. ``start`` is searched in the text cut
+    at an anchor (``endpos``): it matches where every match holding that
+    anchor, or a later one, starts in the ``reach`` before it."""
+
+    expression: str
+    reach: int
+    start: str
+
+
+def _occurrences(forms: tuple[str, ...], then: str = "") -> str:
+    """An expression whose ``finditer`` reports where each of the literal
+    ``forms``, followed by ``then``, occurs, overlapping occurrences too: it
+    consumes a form's first character and looks ahead for the rest."""
+    return "|".join(
+        re.escape(form[0]) + (f"(?={re.escape(form[1:])}{then})" if form[1:] or then else "")
+        for form in forms
+    )
+
+
+def _anchors(
+    dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, sep: str
+) -> dict[IndicatorType, Anchor]:
+    # An fqdn's first dot form comes after its first label, and a label
+    # character follows it. An email's at-form comes after its local part,
+    # and no dot form holds an at-form's first character, so the text from
+    # a match's start to any anchor inside its local part is whole units.
     return {
-        source: by_type[t]
+        _T.FQDN: Anchor(
+            _occurrences(dots, _LABEL_START),
+            63,
+            rf"{_LABEL_START}(?<!{_FQDN_GUARD}.){_LABEL_CHAR}*+\Z",
+        ),
+        _T.EMAIL: Anchor(
+            _occurrences(ats),
+            _LOCAL_UNITS * max(map(len, dots)),
+            rf"(?<!{_EMAIL_GUARD})(?:{_LOCAL_CHAR}|{_either(dots)})++\Z",
+        ),
+    }
+
+
+def _by_source(by_type) -> dict:
+    """``by_type(*variant)``, a table by type, keyed by each type's
+    expression source, in both variants."""
+    return {
+        source: table[t]
         for variant in (_DEFANGED, _PLAIN)
+        for table in [by_type(*variant)]
         for t, source in _sources(*variant).items()
-        if t in by_type
+        if t in table
     }
 
 
 #: Expression source -> gate literals.
-GATES: dict[str, tuple[str, ...]] = _by_source(_GATE_LITERALS)
+GATES: dict[str, tuple[str, ...]] = _by_source(lambda *variant: _GATE_LITERALS)
 #: Expression source -> the (prefix, hex digits) shape of its matches.
-HEX_RUNS: dict[str, tuple[str, int]] = _by_source(_HEX_SHAPES)
+HEX_RUNS: dict[str, tuple[str, int]] = _by_source(lambda *variant: _HEX_SHAPES)
+#: Expression source -> the anchor of its matches.
+ANCHORS: dict[str, Anchor] = _by_source(_anchors)

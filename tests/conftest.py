@@ -331,10 +331,12 @@ def planted_corpus():
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 #: Gate literals and their near misses, the code points IGNORECASE equates
-#: with k and s, and a full-width stop.
+#: with k and s, and a full-width stop; anchors (dot forms and at-forms),
+#: overlapping at-forms, and runs as long as an anchor's reach.
 _GATE_PIECES = (
     ":", "/", "@", "-", "_at_", "[at]", "(at)", "0x", "HK", "hk", ".", ",",
     "CVE-", "UA-", "pub-", "\u212a", "\u017f", "\u3002", " ", "\\", "LM", "http", "onion",
+    "[.]", "(.)", "[dot]", "(dot)", "_at_at_", "x.y", "a" * 63, "a" * 64, "[dot]" * 64,
 )
 #: One whole value of each gated type.
 _GATED_VALUES = (

@@ -263,6 +263,15 @@ ADVERSARIAL_SEEDS = {
 HEX_RUN_STRESSORS = ("0" * 129 + "!", "0x" + "0" * 31 + "!", "0x" + "0" * 41 + "!")
 
 
+# Anchor-dense text for the windowed email and fqdn scans, where they fall
+# back to one finditer pass, and anchors far enough apart to be windowed,
+# each window full of positions where a match could start.
+ANCHOR_STRESSORS = {
+    T.EMAIL: ("a" * 64 + "@", "[dot]a" * 53 + "@"),
+    T.FQDN: ("x.y", "a " * 150 + "a."),
+}
+
+
 # Markup the HTML tokenizer must give up on: a tag with no ``>``, an
 # unterminated comment, and script content with no end tag.
 TOKENIZER_STRESSORS = (
@@ -286,6 +295,13 @@ def _adversarial_input(ind_type: IndicatorType, size: int) -> str:
 def _finditer(pattern: re.Pattern):
     def scan(text):
         for _ in pattern.finditer(text):
+            pass
+    return scan
+
+
+def _planned_scan(extractor: Extractor):
+    def scan(text):
+        for _ in extractor._scan(text):
             pass
     return scan
 
@@ -325,6 +341,12 @@ def test_7_matching_time_budget():
             (("HEX_RUN", seed), _finditer(re.compile(HEX_RUN)),
              [_repeat(seed, size) for size in sizes])
             for seed in HEX_RUN_STRESSORS
+        ]
+        cases += [
+            (("windowed", ind_type, seed), _planned_scan(Extractor.default().restrict([ind_type])),
+             [_repeat(seed, size) for size in sizes])
+            for ind_type, seeds in ANCHOR_STRESSORS.items()
+            for seed in seeds
         ]
         # Up to 1 MB: the tokenizer gives up on the whole document at once.
         cases += [

@@ -199,6 +199,29 @@ class TestExtractCommand:
         assert err == b""
         assert proc.returncode == 1
 
+    def test_reader_closing_unbuffered_stdout_early_ends_the_run_quietly(self, tmp_path):
+        # Unbuffered, stdout is written straight to the pipe; a write that
+        # the closed pipe cuts short must still fail the run. One document
+        # of 5,000 md5s is one large write.
+        import os
+        import subprocess
+        import sys
+
+        hashes = (hashlib.md5(str(i).encode()).hexdigest() for i in range(5000))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(add_doc(tmp_path, "big.txt", " ".join(hashes)) + "\n")
+        argv = [sys.executable, "-m", "iockit.cli", "extract", "--manifest", str(manifest)]
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert json.loads(first)["type"] == "md5"
+        assert err == b""
+        assert proc.returncode == 1
+
     def test_out_file(self, corpus_dir, capsys):
         target = corpus_dir / "out.jsonl"
         code, out, _ = run(

@@ -8,6 +8,7 @@ from iockit.defang import rearm
 from iockit.errors import MalformedLineError, MissingFileError
 from iockit.extractor import (
     Extractor,
+    _anchored,
     _drop_same_type_overlaps,
     _trim_trailing,
     default_catalog_path,
@@ -17,7 +18,9 @@ from iockit.extractor import (
     load_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import _URL_PATH_CHAR, GATES, HEX_RUNS, PatternEntry, default_entries
+from iockit.patterns import (
+    _URL_PATH_CHAR, ANCHORS, GATES, HEX_RUNS, PatternEntry, default_entries,
+)
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import validate
 
@@ -195,10 +198,14 @@ class TestCatalogLoading:
         # The CLI's default extractor parses the shipped file, so its scan
         # is planned only while the file's expressions are the builder's.
         # The plain variant's expressions are planned too.
-        ungated = {T.IP4, T.FQDN, T.ASN, T.IBAN, T.BITCOIN, T.MONERO}
+        unplanned = {T.IP4, T.ASN, T.IBAN, T.BITCOIN, T.MONERO}
         for entries in (shipped.entries, default_entries(defanged=False)):
-            planned = {e.type for e in entries if e.expression in GATES or e.expression in HEX_RUNS}
-            assert planned == set(T) - ungated
+            planned = {
+                e.type for e in entries
+                if any(e.expression in table for table in (GATES, HEX_RUNS, ANCHORS))
+            }
+            assert planned == set(T) - unplanned
+        assert {e.type for e in shipped.entries if e.expression in ANCHORS} == {T.EMAIL, T.FQDN}
 
     def test_bad_regex_reports_line_number(self, tmp_path):
         lines = ["# header"] + [f"md5\t[0-9a-f]{{{n}}}" for n in range(32, 37)] + ["url\t(unclosed"]
@@ -411,6 +418,20 @@ def reference_extract_raw(extractor, text, validation=True):
     return sorted(results, key=lambda r: (r.start, r.type.value))
 
 
+def scan_spans(extractor, text):
+    """Every match of the planned scan, as sorted (type, start, string)."""
+    return sorted((t.value, m.start(), m.group()) for t, m in extractor._scan(text))
+
+
+def reference_spans(extractor, text):
+    """Every match of one finditer pass per entry, as sorted (type, start, string)."""
+    return sorted(
+        (e.type.value, m.start(), m.group())
+        for e in extractor.entries
+        for m in re.finditer(e.expression, text)
+    )
+
+
 _BUILT_IN = {e.type: e.expression for e in default_entries()}
 #: The md5 expression under two types: the second runs as its own pass.
 _HEX_TWICE = [
@@ -430,7 +451,46 @@ PLANNED = {
     "sha1+ethereum": (lambda: Extractor.default().restrict([T.SHA1, T.ETHEREUM]), True),
     "md5+sha512": (lambda: Extractor.default().restrict([T.MD5, T.SHA512]), True),
     "hex-twice": (lambda: Extractor(_HEX_TWICE, validation=False), False),
+    "email": (lambda: Extractor.default(validation=False).restrict([T.EMAIL]), False),
+    "fqdn": (lambda: Extractor.default(validation=False).restrict([T.FQDN]), False),
+    "plain-email+fqdn": (
+        lambda: Extractor.default(validation=False, defanged=False).restrict([T.EMAIL, T.FQDN]),
+        False,
+    ),
 }
+
+#: Texts at the edges of the anchor windows of email and fqdn (see
+#: patterns.ANCHORS): an anchor exactly its reach after a possible start and
+#: one character further; a local part too long from its first character
+#: but not from one after a dot form; overlapping at-forms and at-forms
+#: inside a local part; anchors inside the previous match; anchors with no
+#: match.
+ANCHOR_EDGES = [
+    " " + "[dot]" * 64 + "@crew.net",
+    "(" + "(dot)" * 64 + "[at]crew.net",
+    " " + "a" * 64 + "@crew.net",
+    " " + "[dot]" * 64 + "a@crew.net",
+    " " + "a" * 65 + "@crew.net",
+    " " + "a" * 10 + "[dot]" + "a" * 60 + "@crew.net",
+    " " + "a" * 63 + ".com",
+    " " + "a" * 63 + "[.]com",
+    "(" + "a" * 63 + "(dot)com",
+    " " + "a" * 64 + ".com",
+    "_at_at_evil.com",
+    "x_at_at_evil.com",
+    "a_at_at_at_b.org",
+    "first_at_last@evil.com",
+    "first_at_last[at]evil.com",
+    "a_at_b_at_c_at_d@evil.com",
+    "a_at_b_at_c(at)evil.com",
+    "www.example.co.uk",
+    "ops@mail.example.com@x.org",
+    "x@y.com_at_z.org",
+    "x@y.io@z.io " * 3,
+    "one.example.com.two.example.org",
+    "@@@@ [at] (at) _at_ x@ _at_",
+    "end. Next .x [.]y (dot)z 1.2.3.4 a. @.",
+]
 
 
 @pytest.mark.parametrize(
@@ -449,6 +509,7 @@ def test_planned_scan_matches_reference_on_corpus(name, planted_corpus):
     factory, validation = PLANNED[name]
     extractor = factory()
     for text in planted_corpus:
+        assert scan_spans(extractor, text) == reference_spans(extractor, text)
         assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
 
 
@@ -458,7 +519,58 @@ def test_planned_scan_matches_reference_on_corpus(name, planted_corpus):
 def test_planned_scan_matches_reference_on_gate_shaped_text(name, text):
     factory, validation = PLANNED[name]
     extractor = factory()
+    assert scan_spans(extractor, text) == reference_spans(extractor, text)
     assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+
+
+@pytest.mark.parametrize("name", PLANNED)
+@pytest.mark.parametrize("edge", range(len(ANCHOR_EDGES)))
+def test_planned_scan_matches_reference_on_anchor_edges(name, edge):
+    factory, validation = PLANNED[name]
+    extractor = factory()
+    text = ANCHOR_EDGES[edge]
+    assert scan_spans(extractor, text) == reference_spans(extractor, text)
+    assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+
+
+class _RecordingPattern:
+    """A compiled expression that records where each finditer pass starts."""
+
+    def __init__(self, expression):
+        self._pattern = re.compile(expression)
+        self.finditer_starts = []
+
+    def match(self, text, pos):
+        return self._pattern.match(text, pos)
+
+    def finditer(self, text, pos):
+        self.finditer_starts.append(pos)
+        return self._pattern.finditer(text, pos)
+
+
+_SPARSE = " ".join(["observed beacon traffic to the staging host"] * 25)
+
+
+@pytest.mark.parametrize("defanged", [True, False])
+@pytest.mark.parametrize("ind_type,dense", [(T.EMAIL, "ops@crew.net "), (T.FQDN, "crew.net ")])
+def test_planned_scan_switches_to_finditer_where_anchors_are_dense(defanged, ind_type, dense):
+    [entry] = [e for e in default_entries(defanged) if e.type is ind_type]
+    anchor = ANCHORS[entry.expression]
+    prose = f"{_SPARSE} see ops@crew.net or crew.net {_SPARSE} "
+    for text in (prose, prose + dense * 400):
+        recording = _RecordingPattern(entry.expression)
+        found = _anchored(
+            recording, re.compile(anchor.expression), anchor.reach, re.compile(anchor.start), text
+        )
+        assert [(m.start(), m.group()) for m in found] == [
+            (m.start(), m.group()) for m in re.finditer(entry.expression, text)
+        ]
+        if text == prose:
+            assert recording.finditer_starts == []
+        else:
+            # The prose is windowed, then one finditer pass takes the rest.
+            [start] = recording.finditer_starts
+            assert len(prose) <= start < len(text) - 100
 
 
 def test_gate_letters_lower_to_themselves():

@@ -214,18 +214,19 @@ class TestApplyFilter:
 
 class TestStatsMerge:
     def test_doc_frequency_fractions(self):
+        # In one document of two: above a threshold of 0.49, not above 0.5.
         stats = CorpusStats()
         stats.add_document(["rss:a"], [ind(T.IP4, "1.1.1.1")])
         stats.add_document(["rss:a"], [])
-        freq = stats.doc_frequency
-        assert freq[(T.IP4, "1.1.1.1")] == 0.5
+        assert stats.ubiquitous(0.49) == {(T.IP4, "1.1.1.1")}
+        assert stats.ubiquitous(0.5) == frozenset()
 
     def test_counter_bounds(self, rng, forge):
         stats = CorpusStats()
         for i in range(25):
             origins = [f"rss:o{i % 3}"]
             stats.add_document(origins, [ind(t, forge.value(t)) for t in (T.IP4, T.FQDN)])
-        assert all(0 <= f <= 1 for f in stats.doc_frequency.values())
+        assert all(0 <= c <= stats.total_docs for c in stats.doc_counts.values())
         assert all(c <= stats.total_docs for c in stats.per_origin_doc_counts.values())
 
 
