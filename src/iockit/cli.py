@@ -33,15 +33,15 @@ def _err(message: str) -> None:
 
 
 def _stdout(stack: contextlib.ExitStack):
-    """sys.stdout, or a buffered stream on its file when its bytes go there
-    unbuffered (``python -u``, PYTHONUNBUFFERED): an unbuffered write that a
-    reader closing the pipe cuts short is dropped without an error, and a
-    buffered one completes or raises."""
+    """sys.stdout, or a buffered stream on its file, flushed at every line,
+    when its bytes go there unbuffered (``python -u``, PYTHONUNBUFFERED): an
+    unbuffered write that a reader closing the pipe cuts short is dropped
+    without an error, and a buffered one's flush completes or raises."""
     if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
         return sys.stdout
     return stack.enter_context(open(
         sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, errors=sys.stdout.errors,
-        closefd=False,
+        buffering=1, closefd=False,
     ))
 
 

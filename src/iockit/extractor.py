@@ -37,12 +37,6 @@ def _hex_shape(raw: str) -> tuple[str, int]:
     return prefix, len(raw) - len(prefix)
 
 
-#: Anchors closer together than this on average, counted from the start of
-#: the text, cost more to window than the windows skip: two or more seen at
-#: this density send the rest of the text to ``finditer``.
-_DENSE_SPACING = 32
-
-
 def _anchored(
     pattern: re.Pattern[str], anchor: re.Pattern[str], reach: int, start: re.Pattern[str],
     text: str,
@@ -54,19 +48,13 @@ def _anchored(
     For each anchor after the last match, ``pattern`` is tried where
     ``start`` matches in the ``reach`` before it that no earlier window
     tried, in order; the first hit is the match ``finditer`` would return
-    next. Once the anchors seen are dense, the rest of the text goes to
-    ``finditer``.
+    next.
     """
-    pos = tried = seen = 0
+    pos = tried = 0
     for found in anchor.finditer(text):
         a = found.start()
         if a <= pos:
             continue
-        seen += 1
-        if seen > 1 and seen * _DENSE_SPACING > a:
-            # Every start before ``tried`` is settled.
-            yield from pattern.finditer(text, max(pos, tried))
-            return
         s = max(pos, a - reach, tried)
         while (candidate := start.search(text, s, a)) is not None:
             m = pattern.match(text, candidate.start())

@@ -53,10 +53,8 @@ gets the same treatment, and any other expression runs as written:
   label for fqdn, local-part units for email) up to the anchor, so most
   windows try one position. The first hit is the match ``finditer`` would
   return, since a match starting earlier would hold an earlier anchor.
-  Where anchors are very dense, as in lists of addresses, windows cost more
-  than they skip: once two or more anchors average under 32 characters
-  apart from the start of the text, the rest of it goes to one
-  ``finditer`` pass. Which path a text takes changes only speed.
+  Windows never overlap, so the scan stays linear however dense the
+  anchors are.
 """
 from __future__ import annotations
 
@@ -262,21 +260,23 @@ def _anchors(
     }
 
 
-def _by_source(by_type) -> dict:
-    """``by_type(*variant)``, a table by type, keyed by each type's
-    expression source, in both variants."""
+def _by_source(by_type: dict) -> dict:
+    """``by_type`` keyed by each type's expression source, in both variants."""
     return {
-        source: table[t]
+        source: by_type[t]
         for variant in (_DEFANGED, _PLAIN)
-        for table in [by_type(*variant)]
         for t, source in _sources(*variant).items()
-        if t in table
+        if t in by_type
     }
 
 
 #: Expression source -> gate literals.
-GATES: dict[str, tuple[str, ...]] = _by_source(lambda *variant: _GATE_LITERALS)
+GATES: dict[str, tuple[str, ...]] = _by_source(_GATE_LITERALS)
 #: Expression source -> the (prefix, hex digits) shape of its matches.
-HEX_RUNS: dict[str, tuple[str, int]] = _by_source(lambda *variant: _HEX_SHAPES)
+HEX_RUNS: dict[str, tuple[str, int]] = _by_source(_HEX_SHAPES)
 #: Expression source -> the anchor of its matches.
-ANCHORS: dict[str, Anchor] = _by_source(_anchors)
+ANCHORS: dict[str, Anchor] = {
+    _sources(*variant)[t]: anchor
+    for variant in (_DEFANGED, _PLAIN)
+    for t, anchor in _anchors(*variant).items()
+}

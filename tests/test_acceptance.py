@@ -263,9 +263,9 @@ ADVERSARIAL_SEEDS = {
 HEX_RUN_STRESSORS = ("0" * 129 + "!", "0x" + "0" * 31 + "!", "0x" + "0" * 41 + "!")
 
 
-# Anchor-dense text for the windowed email and fqdn scans, where they fall
-# back to one finditer pass, and anchors far enough apart to be windowed,
-# each window full of positions where a match could start.
+# Text for the windowed email and fqdn scans: anchors as dense as they come,
+# and anchors a window apart, each window full of positions where a match
+# could start.
 ANCHOR_STRESSORS = {
     T.EMAIL: ("a" * 64 + "@", "[dot]a" * 53 + "@"),
     T.FQDN: ("x.y", "a " * 150 + "a."),

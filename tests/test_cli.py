@@ -222,6 +222,43 @@ class TestExtractCommand:
         assert err == b""
         assert proc.returncode == 1
 
+    def test_unbuffered_stdout_streams_each_document(self, tmp_path, monkeypatch):
+        # Unbuffered, each document's lines reach the reader when they are
+        # written, not when the run ends: look at the pipe as each document
+        # is read.
+        import io
+        import os
+        import sys
+
+        hashes = [hashlib.md5(str(doc).encode()).hexdigest() for doc in range(3)]
+        rows = [add_doc(tmp_path, f"{doc}.txt", h) for doc, h in enumerate(hashes)]
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("\n".join(rows) + "\n")
+        read_end, write_end = os.pipe()
+        os.set_blocking(read_end, False)
+        unbuffered = io.TextIOWrapper(io.FileIO(write_end, "w"), write_through=True)
+        monkeypatch.setattr(sys, "stdout", unbuffered)
+        extract_lines = cli._extract_lines
+        arrived = []
+
+        def look_then_extract(record):
+            try:
+                arrived.append(os.read(read_end, 1 << 16))
+            except BlockingIOError:
+                arrived.append(b"")
+            return extract_lines(record)
+
+        monkeypatch.setattr(cli, "_extract_lines", look_then_extract)
+        try:
+            assert main(["extract", "--manifest", str(manifest), "--jobs", "1"]) == 0
+            unbuffered.close()
+            arrived.append(os.read(read_end, 1 << 16))
+        finally:
+            unbuffered.close()
+            os.close(read_end)
+        assert arrived[0] == b""
+        assert [json.loads(chunk)["value"] for chunk in arrived[1:]] == hashes
+
     def test_out_file(self, corpus_dir, capsys):
         target = corpus_dir / "out.jsonl"
         code, out, _ = run(

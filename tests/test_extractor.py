@@ -8,7 +8,6 @@ from iockit.defang import rearm
 from iockit.errors import MalformedLineError, MissingFileError
 from iockit.extractor import (
     Extractor,
-    _anchored,
     _drop_same_type_overlaps,
     _trim_trailing,
     default_catalog_path,
@@ -531,46 +530,6 @@ def test_planned_scan_matches_reference_on_anchor_edges(name, edge):
     text = ANCHOR_EDGES[edge]
     assert scan_spans(extractor, text) == reference_spans(extractor, text)
     assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
-
-
-class _RecordingPattern:
-    """A compiled expression that records where each finditer pass starts."""
-
-    def __init__(self, expression):
-        self._pattern = re.compile(expression)
-        self.finditer_starts = []
-
-    def match(self, text, pos):
-        return self._pattern.match(text, pos)
-
-    def finditer(self, text, pos):
-        self.finditer_starts.append(pos)
-        return self._pattern.finditer(text, pos)
-
-
-_SPARSE = " ".join(["observed beacon traffic to the staging host"] * 25)
-
-
-@pytest.mark.parametrize("defanged", [True, False])
-@pytest.mark.parametrize("ind_type,dense", [(T.EMAIL, "ops@crew.net "), (T.FQDN, "crew.net ")])
-def test_planned_scan_switches_to_finditer_where_anchors_are_dense(defanged, ind_type, dense):
-    [entry] = [e for e in default_entries(defanged) if e.type is ind_type]
-    anchor = ANCHORS[entry.expression]
-    prose = f"{_SPARSE} see ops@crew.net or crew.net {_SPARSE} "
-    for text in (prose, prose + dense * 400):
-        recording = _RecordingPattern(entry.expression)
-        found = _anchored(
-            recording, re.compile(anchor.expression), anchor.reach, re.compile(anchor.start), text
-        )
-        assert [(m.start(), m.group()) for m in found] == [
-            (m.start(), m.group()) for m in re.finditer(entry.expression, text)
-        ]
-        if text == prose:
-            assert recording.finditer_starts == []
-        else:
-            # The prose is windowed, then one finditer pass takes the rest.
-            [start] = recording.finditer_starts
-            assert len(prose) <= start < len(text) - 100
 
 
 def test_gate_letters_lower_to_themselves():
