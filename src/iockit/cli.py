@@ -70,7 +70,8 @@ def _open_outputs(*paths):
             if not existed:
                 created.append(path)
         for stream in streams:
-            if stream is not stdout and stream.seekable():
+            # Only a regular file is emptied: truncating /dev/null fails.
+            if stream is not stdout and os.path.isfile(stream.fileno()):
                 stream.truncate(0)
         yield streams
 
@@ -190,18 +191,27 @@ def _extract_lines(record: corpus.DocumentRecord) -> tuple[bool, str]:
         return False, f"{record.doc_id}: {exc}"
     if record.format == "html":
         text = corpus.extract_text(text)
+    found = extractor.extract_raw(text) if raw else extractor.extract(text)
+    return True, "".join(_json_lines(record.doc_id, found, raw))
+
+
+#: The C string escaper of ``json.dumps`` (``ensure_ascii``), quotes included.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_lines(doc_id: str, found, raw: bool = False):
+    """The output line of each Indicator of one document, or with ``raw``
+    of each RawMatch: exactly what ``json.dumps`` writes for
+    ``{"doc_id", "type", "value"}``, plus ``"start"`` and ``"raw"`` with
+    ``raw`` (the value is then the rearmed one), and a newline."""
+    head = f'{{"doc_id": {_quote(doc_id)}, "type": '
     if raw:
-        rows = (
-            {"doc_id": record.doc_id, "type": m.type.value, "value": m.rearmed,
-             "start": m.start, "raw": m.raw}
-            for m in extractor.extract_raw(text)
+        return (
+            f'{head}{_quote(m.type.value)}, "value": {_quote(m.rearmed)}, '
+            f'"start": {m.start}, "raw": {_quote(m.raw)}}}\n'
+            for m in found
         )
-    else:
-        rows = (
-            {"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value}
-            for ind in extractor.extract(text)
-        )
-    return True, "".join(f"{json.dumps(row)}\n" for row in rows)
+    return (f'{head}{_quote(i.type.value)}, "value": {_quote(i.value)}}}\n' for i in found)
 
 
 def cmd_extract(args) -> int:
@@ -217,7 +227,9 @@ def cmd_extract(args) -> int:
             )
             # A run that stops early (the reader closed stdout) runs no more documents.
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_extract_lines, records, chunksize=1)
+            # Batches of documents per task; map still yields in document order.
+            chunksize = max(1, len(records) // (8 * args.jobs))
+            results = pool.map(_extract_lines, records, chunksize=chunksize)
         else:
             _worker_init(extractor, args.raw)
             results = map(_extract_lines, records)
@@ -258,24 +270,17 @@ def cmd_filter(args) -> int:
     with _open_outputs(args.out, *generic_paths) as (ioc_out, *generic_out):
         for record in records:
             indicators = sorted(by_doc.get(record.doc_id, set()), key=Indicator.sort_key)
-            for indicator in indicators:
+            for indicator, line in zip(indicators, _json_lines(record.doc_id, indicators)):
                 rule = filtering.blocking_rule(indicator, blocklist)
-                line = json.dumps(
-                    {
-                        "doc_id": record.doc_id,
-                        "type": indicator.type.value,
-                        "value": indicator.value,
-                    }
-                )
                 totals["total"] += 1
                 if rule is None:
                     totals["iocs"] += 1
-                    print(line, file=ioc_out)
+                    ioc_out.write(line)
                 else:
                     totals["generic"] += 1
                     rule_counts[rule] += 1
                     for stream in generic_out:
-                        print(line, file=stream)
+                        stream.write(line)
     summary = (
         f"total={totals['total']} iocs={totals['iocs']} generic={totals['generic']} "
         + " ".join(f"{name}={rule_counts[name]}" for name in filtering.RULE_NAMES)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InapplicableRuleError, MalformedLineError, read_lines
 from .types import IndicatorType
@@ -85,16 +85,27 @@ class DefangCatalog:
         operation idempotent even on nested obfuscations like "([.])".
         Total: values with no applicable obfuscation pass through unchanged.
         """
+        return self.rearmer(type)(raw)
+
+    def rearmer(self, type: IndicatorType) -> Callable[[str], str]:
+        """``rearm`` for one type, as a function of the raw value."""
         pattern = self._rearm_re[type]
         if pattern is None:
-            return raw
+            return str
         table = self._armed_of[type]
-        current = raw
-        while True:
-            replaced = pattern.sub(lambda m: table[m.group(0)], current)
-            if replaced == current:
-                return replaced
-            current = replaced
+
+        def armed(m: re.Match[str]) -> str:
+            return table[m.group(0)]
+
+        def rearm(raw: str) -> str:
+            current = raw
+            while True:
+                replaced = pattern.sub(armed, current)
+                if replaced == current:
+                    return replaced
+                current = replaced
+
+        return rearm
 
     def defang(self, value: str, type: IndicatorType, rule_ids: Sequence[str]) -> str:
         """Apply the named rules left-to-right to an armed value.

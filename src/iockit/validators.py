@@ -11,6 +11,7 @@ import hashlib
 import ipaddress
 import re
 from pathlib import Path
+from typing import Callable
 
 from .errors import DATA, read_lines
 from .types import IndicatorType
@@ -254,9 +255,18 @@ _VALIDATORS = {
 }
 
 
+def validator(
+    type: IndicatorType, tlds: frozenset[str] = DEFAULT_TLDS
+) -> Callable[[str], bool]:
+    """The validation of ``type`` against ``tlds``: true iff a rearmed
+    candidate is ASCII and passes the type's validation function."""
+    check = _VALIDATORS[type]
+    return lambda rearmed: rearmed.isascii() and bool(check(rearmed, tlds))
+
+
 def validate(
     type: IndicatorType, rearmed: str, tlds: frozenset[str] = DEFAULT_TLDS
 ) -> bool:
     """True iff the rearmed candidate is ASCII and passes the type's
     validation function."""
-    return rearmed.isascii() and bool(_VALIDATORS[type](rearmed, tlds))
+    return validator(type, tlds)(rearmed)

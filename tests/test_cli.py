@@ -1,12 +1,14 @@
 import hashlib
 import json
+import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iockit import cli, corpus, filtering
 from iockit.cli import main
 from iockit.extractor import Extractor
-from iockit.types import Indicator, IndicatorType
+from iockit.types import Indicator, IndicatorType, RawMatch
 
 T = IndicatorType
 
@@ -371,6 +373,23 @@ class TestFilterCommand:
                     json.dumps({"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value})
                 )
         assert out.splitlines() == expected_iocs
+
+    def test_lines_are_what_json_dumps_writes(self, corpus_dir, tranco_file, tmp_path, capsys):
+        doc_id = corpus.load_manifest(corpus_dir / "manifest.tsv")[0].doc_id
+        values = ['CVE-"q"', "CVE-\\b", "CVE-\x00\x1f\x7f", "CVE-\u2028", "CVE-\u00e9\U0001f600",
+                  "CVE-\ud800"]
+        indicators = tmp_path / "indicators.jsonl"
+        indicators.write_text("".join(
+            json.dumps({"doc_id": doc_id, "type": "cve", "value": v}) + "\n" for v in values
+        ))
+        code, out, _ = run(
+            capsys, "filter", "--indicators", str(indicators),
+            "--manifest", str(corpus_dir / "manifest.tsv"), "--tranco", str(tranco_file),
+        )
+        assert code == 0
+        assert out == "".join(
+            json.dumps({"doc_id": doc_id, "type": "cve", "value": v}) + "\n" for v in sorted(values)
+        )
 
     def test_shell_pipe_reads_stdin(self, corpus_dir, tranco_file, tmp_path):
         # extract | filter through a real pipe must equal the file-based run.
@@ -777,6 +796,13 @@ def test_unopenable_output_path_exit_2(corpus_dir, tranco_file, capsys, command)
     assert err == f"iockit: {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["extract", "filter", "compare"])
+def test_output_to_dev_null(corpus_dir, tranco_file, capsys, command):
+    # A character device is written to, never truncated.
+    code, _, err = run(capsys, *_argv_writing_to(command, corpus_dir, tranco_file, os.devnull))
+    assert code == 0, err
+
+
 def test_filter_unopenable_generic_out_leaves_out_untouched(corpus_dir, tranco_file, capsys):
     target = corpus_dir / "no-such-dir" / "out"
     kept = corpus_dir / "iocs.jsonl"
@@ -847,3 +873,32 @@ def test_doc_freq_threshold_must_be_finite(corpus_dir, tranco_file, capsys, valu
     err = capsys.readouterr().err
     assert err.startswith("usage: iockit filter")
     assert err.endswith(f"error: argument --doc-freq-threshold: not a finite number: {value!r}\n")
+
+
+#: Strings that JSON must escape or that json.dumps writes as ASCII escapes:
+#: quotes, backslashes, control characters, U+2028, non-ASCII, lone surrogates.
+_JSON_HOSTILE = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\u2029\u00e9\ud800\udbff\udc00\udfff\U0001f600'),
+))
+
+
+@given(
+    doc_id=_JSON_HOSTILE,
+    rows=st.lists(st.tuples(
+        st.sampled_from(IndicatorType), _JSON_HOSTILE, st.integers(min_value=0), _JSON_HOSTILE,
+    ), max_size=4),
+)
+def test_output_lines_are_what_json_dumps_writes(doc_id, rows):
+    # extract's lines with and without --raw; filter's lines are the former.
+    indicators = [Indicator(t, value) for t, value, _, _ in rows]
+    assert list(cli._json_lines(doc_id, indicators)) == [
+        json.dumps({"doc_id": doc_id, "type": i.type.value, "value": i.value}) + "\n"
+        for i in indicators
+    ]
+    matches = [RawMatch(t, start, raw, value) for t, value, start, raw in rows]
+    assert list(cli._json_lines(doc_id, matches, raw=True)) == [
+        json.dumps({"doc_id": doc_id, "type": m.type.value, "value": m.rearmed,
+                    "start": m.start, "raw": m.raw}) + "\n"
+        for m in matches
+    ]

@@ -8,7 +8,6 @@ from iockit.defang import rearm
 from iockit.errors import MalformedLineError, MissingFileError
 from iockit.extractor import (
     Extractor,
-    _drop_same_type_overlaps,
     _trim_trailing,
     default_catalog_path,
     default_tld_path,
@@ -413,13 +412,39 @@ def reference_extract_raw(extractor, text, validation=True):
             per_type.setdefault(entry.type, []).append(
                 RawMatch(entry.type, m.start(), raw, rearmed)
             )
-    results = [m for matches in per_type.values() for m in _drop_same_type_overlaps(matches)]
+    results = [m for matches in per_type.values() for m in reference_drop(matches)]
     return sorted(results, key=lambda r: (r.start, r.type.value))
+
+
+def reference_drop(matches):
+    """Keep leftmost-longest RawMatches of one type."""
+    kept, last_end = [], -1
+    for m in sorted(matches, key=lambda r: (r.start, -len(r.raw))):
+        if m.start >= last_end:
+            kept.append(m)
+            last_end = m.end
+    return kept
+
+
+def reference_extract(extractor, text, validation=True):
+    """extract as the deduplicated projection of reference_extract_raw by
+    (type, normalized value), ordered by type name then value."""
+    seen, out = set(), []
+    for m in reference_extract_raw(extractor, text, validation):
+        found = Indicator(m.type, normalize(m.type, m.rearmed))
+        if found not in seen:
+            seen.add(found)
+            out.append(found)
+    return sorted(out, key=Indicator.sort_key)
 
 
 def scan_spans(extractor, text):
     """Every match of the planned scan, as sorted (type, start, string)."""
-    return sorted((t.value, m.start(), m.group()) for t, m in extractor._scan(text))
+    return sorted(
+        (kind.name, m.start(), m.group())
+        for kind, matches in extractor._scan(text)
+        for m in matches
+    )
 
 
 def reference_spans(extractor, text):
@@ -439,6 +464,21 @@ _HEX_TWICE = [
     PatternEntry(T.ETHEREUM, _BUILT_IN[T.ETHEREUM], 3),
 ]
 
+#: The defanged and the plain fqdn expression under one type: two passes
+#: whose matches overlap, so the same-type overlap drop has work to do.
+_FQDN_TWICE = [
+    PatternEntry(T.FQDN, e.expression, i)
+    for i, e in enumerate(
+        e for defanged in (True, False) for e in default_entries(defanged) if e.type is T.FQDN
+    )
+]
+#: Expressions that can match empty: an empty match can start where a
+#: longer match of the same pass does, and the overlap drop removes it.
+_EMPTY_MATCHES = [
+    PatternEntry(T.CVE, r"(?=[a-z])|[a-z]+", 1),
+    PatternEntry(T.ASN, r"\d*", 2),
+]
+
 #: Extractors whose planned scan is checked: name -> (factory, validation).
 PLANNED = {
     "default": (Extractor.default, True),
@@ -456,6 +496,8 @@ PLANNED = {
         lambda: Extractor.default(validation=False, defanged=False).restrict([T.EMAIL, T.FQDN]),
         False,
     ),
+    "fqdn-twice": (lambda: Extractor(_FQDN_TWICE), True),
+    "empty-matches": (lambda: Extractor(_EMPTY_MATCHES, validation=False), False),
 }
 
 #: Texts at the edges of the anchor windows of email and fqdn (see
@@ -510,6 +552,7 @@ def test_planned_scan_matches_reference_on_corpus(name, planted_corpus):
     for text in planted_corpus:
         assert scan_spans(extractor, text) == reference_spans(extractor, text)
         assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+        assert extractor.extract(text) == reference_extract(extractor, text, validation)
 
 
 @pytest.mark.parametrize("name", PLANNED)
@@ -520,6 +563,7 @@ def test_planned_scan_matches_reference_on_gate_shaped_text(name, text):
     extractor = factory()
     assert scan_spans(extractor, text) == reference_spans(extractor, text)
     assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+    assert extractor.extract(text) == reference_extract(extractor, text, validation)
 
 
 @pytest.mark.parametrize("name", PLANNED)
@@ -530,6 +574,7 @@ def test_planned_scan_matches_reference_on_anchor_edges(name, edge):
     text = ANCHOR_EDGES[edge]
     assert scan_spans(extractor, text) == reference_spans(extractor, text)
     assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
+    assert extractor.extract(text) == reference_extract(extractor, text, validation)
 
 
 def test_gate_letters_lower_to_themselves():
