@@ -1,7 +1,7 @@
 """iockit: extract, validate, normalize, and filter threat-intelligence
 indicators from text, and compare extraction tools by majority vote."""
 
-from .defang import DefangCatalog, DefangRule, defang, rearm
+from .defang import DefangRule, defang, rearm
 from .extractor import Extractor, extract, extract_raw, load_catalog
 from .filtering import (
     CorpusStats,
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyCounters",
     "CorpusStats",
-    "DefangCatalog",
     "DefangRule",
     "DynamicBlocklist",
     "Extractor",

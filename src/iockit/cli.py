@@ -373,6 +373,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; argparse reports anything else as a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iockit",
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--raw", action="store_true", help="raw API: include offsets and raw values"
     )
     p_extract.add_argument("--out", help="output file (default: stdout)")
-    p_extract.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_extract.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p_extract.set_defaults(func=cmd_extract)
 
     p_filter = sub.add_parser("filter", help="split indicators into IOCs and generic")

@@ -1,18 +1,17 @@
-"""Defang transformation catalog: rearm (refang) matched values, defang armed ones.
+"""Defang table: rearm (refang) matched values, defang armed ones.
 
-The catalog is data-driven so new transformations seen in the wild can be
-added without touching the engine: each rule is (obfuscated pattern,
-armed replacement, applicable types). The default table is
-``DEFAULT_RULES`` below; ``load_rules`` reads a custom one from a file.
+``DEFAULT_RULES`` is the one table of defang forms. Each rule is (id,
+defanged pattern, armed replacement, applicable types). ``rearm`` undoes
+the rules, ``defang`` applies them, and the regex catalog in ``patterns``
+takes its dot and at forms from the same table.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .errors import InapplicableRuleError, MalformedLineError, read_lines
+from .errors import InapplicableRuleError
 from .types import IndicatorType
 
 _T = IndicatorType
@@ -48,111 +47,60 @@ DEFAULT_RULES: tuple[DefangRule, ...] = (
 )
 
 
-class DefangCatalog:
-    """Immutable rule table with per-type rearm/defang operations."""
+def _rearmer(type: IndicatorType) -> Callable[[str], str]:
+    """``rearm`` for one type: single simultaneous passes of its rules, run
+    to a fixpoint, which makes it idempotent even on nested obfuscations
+    like "([.])"."""
+    # Longest pattern first so e.g. "hxxp[:]//" wins over "[:]//".
+    rules = sorted(
+        (r for r in DEFAULT_RULES if r.applies_to(type)),
+        key=lambda r: len(r.pattern), reverse=True,
+    )
+    if not rules:
+        return str
+    pattern = re.compile("|".join(re.escape(r.pattern) for r in rules))
+    table = {r.pattern: r.replacement for r in rules}
 
-    def __init__(self, rules: Iterable[DefangRule] = DEFAULT_RULES):
-        self.rules: tuple[DefangRule, ...] = tuple(rules)
-        self._by_id = {r.id: r for r in self.rules}
-        self._rearm_re: dict[IndicatorType, re.Pattern[str] | None] = {}
-        self._armed_of: dict[IndicatorType, dict[str, str]] = {}
-        for t in IndicatorType:
-            applicable = [r for r in self.rules if r.applies_to(t)]
-            if not applicable:
-                self._rearm_re[t] = None
-                self._armed_of[t] = {}
-                continue
-            # Longest pattern first so e.g. "hxxp[:]//" wins over "[:]//".
-            applicable.sort(key=lambda r: len(r.pattern), reverse=True)
-            self._rearm_re[t] = re.compile(
-                "|".join(re.escape(r.pattern) for r in applicable)
-            )
-            self._armed_of[t] = {r.pattern: r.replacement for r in applicable}
+    def armed(m: re.Match[str]) -> str:
+        return table[m.group(0)]
 
-    def __iter__(self):
-        return iter(self.rules)
+    def rearm(raw: str) -> str:
+        current = raw
+        while True:
+            replaced = pattern.sub(armed, current)
+            if replaced == current:
+                return replaced
+            current = replaced
 
-    def rule(self, rule_id: str) -> DefangRule:
-        try:
-            return self._by_id[rule_id]
-        except KeyError:
-            raise InapplicableRuleError(f"unknown defang rule: {rule_id!r}") from None
-
-    def rearm(self, raw: str, type: IndicatorType) -> str:
-        """Undo every applicable defang transformation in ``raw``.
-
-        Runs single simultaneous passes to a fixpoint, which makes the
-        operation idempotent even on nested obfuscations like "([.])".
-        Total: values with no applicable obfuscation pass through unchanged.
-        """
-        return self.rearmer(type)(raw)
-
-    def rearmer(self, type: IndicatorType) -> Callable[[str], str]:
-        """``rearm`` for one type, as a function of the raw value."""
-        pattern = self._rearm_re[type]
-        if pattern is None:
-            return str
-        table = self._armed_of[type]
-
-        def armed(m: re.Match[str]) -> str:
-            return table[m.group(0)]
-
-        def rearm(raw: str) -> str:
-            current = raw
-            while True:
-                replaced = pattern.sub(armed, current)
-                if replaced == current:
-                    return replaced
-                current = replaced
-
-        return rearm
-
-    def defang(self, value: str, type: IndicatorType, rule_ids: Sequence[str]) -> str:
-        """Apply the named rules left-to-right to an armed value.
-
-        Raises InapplicableRuleError when a rule does not apply to ``type``.
-        """
-        out = value
-        for rule_id in rule_ids:
-            rule = self.rule(rule_id)
-            if not rule.applies_to(type):
-                raise InapplicableRuleError(
-                    f"rule {rule.id!r} does not apply to type {type.value!r}"
-                )
-            out = out.replace(rule.replacement, rule.pattern)
-        return out
+    return rearm
 
 
-def load_rules(path: str | Path) -> DefangCatalog:
-    """Load a rule table: one rule per line, tab-separated
-    ``id<TAB>pattern<TAB>replacement<TAB>type,type,...``; '#' comments allowed.
-    """
-    rules = []
-    for line_no, line in read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            message = f"expected 4 tab-separated fields, got {len(fields)}"
-            raise MalformedLineError(path, line_no, message)
-        rule_id, pattern, replacement, type_list = fields
-        try:
-            types = frozenset(
-                IndicatorType(name.strip()) for name in type_list.split(",") if name.strip()
-            )
-        except ValueError:
-            message = f"unknown indicator type in {type_list!r}"
-            raise MalformedLineError(path, line_no, message) from None
-        rules.append(DefangRule(rule_id, pattern, replacement, types))
-    return DefangCatalog(rules)
-
-
-DEFAULT_CATALOG = DefangCatalog()
+#: Type -> its rearm function.
+REARMERS: dict[IndicatorType, Callable[[str], str]] = {t: _rearmer(t) for t in IndicatorType}
 
 
 def rearm(raw: str, type: IndicatorType) -> str:
-    """Rearm ``raw`` using the default rule catalog."""
-    return DEFAULT_CATALOG.rearm(raw, type)
+    """Undo every defang rule that applies to ``type`` in ``raw``.
+
+    Total: values with no applicable obfuscation pass through unchanged.
+    """
+    return REARMERS[type](raw)
 
 
 def defang(value: str, type: IndicatorType, rule_ids: Sequence[str]) -> str:
-    """Defang ``value`` using the default rule catalog."""
-    return DEFAULT_CATALOG.defang(value, type, rule_ids)
+    """Apply the named rules left-to-right to an armed value.
+
+    Raises InapplicableRuleError for an unknown rule or one that does not
+    apply to ``type``.
+    """
+    out = value
+    for rule_id in rule_ids:
+        rule = next((r for r in DEFAULT_RULES if r.id == rule_id), None)
+        if rule is None:
+            raise InapplicableRuleError(f"unknown defang rule: {rule_id!r}")
+        if not rule.applies_to(type):
+            raise InapplicableRuleError(
+                f"rule {rule.id!r} does not apply to type {type.value!r}"
+            )
+        out = out.replace(rule.replacement, rule.pattern)
+    return out

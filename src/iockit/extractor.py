@@ -1,11 +1,12 @@
 """Match-and-validate extraction engine with raw and deduplicated APIs."""
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .defang import DEFAULT_CATALOG, DefangCatalog
+from .defang import REARMERS
 from .errors import DATA, MalformedLineError, read_lines
 from .normalize import normalize
 from .patterns import ANCHORS, GATES, HEX_RUN, HEX_RUNS, PatternEntry, default_entries
@@ -79,8 +80,8 @@ class _Kind(NamedTuple):
 class Extractor:
     """Immutable extraction handle; safe to share across workers.
 
-    Holds the compiled pattern catalog, the TLD snapshot used by lookup
-    validators, and the defang rule catalog used to rearm matches. It is
+    Holds the compiled pattern catalog and the TLD snapshot used by lookup
+    validators; matches are rearmed with ``defang.DEFAULT_RULES``. It is
     pickled as the arguments that build it.
 
     The catalog is compiled into a scan plan (see ``patterns``): each entry
@@ -95,16 +96,14 @@ class Extractor:
         self,
         entries: Sequence[PatternEntry],
         tlds: frozenset[str] = DEFAULT_TLDS,
-        defang_catalog: DefangCatalog = DEFAULT_CATALOG,
         validation: bool = True,
     ):
         self._entries = tuple(sorted(entries, key=lambda e: e.priority))
         self._tlds = frozenset(tlds)
-        self._defang = defang_catalog
         self._validation = validation
         kinds = {
             t: _Kind(
-                t, t.value, t in _TRIMMED_TYPES, defang_catalog.rearmer(t),
+                t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
                 validator(t, self._tlds) if validation else None,
             )
             for t in {entry.type for entry in self._entries}
@@ -135,7 +134,7 @@ class Extractor:
 
     def __reduce__(self):
         # The kinds hold closures, which do not pickle.
-        return type(self), (self._entries, self._tlds, self._defang, self._validation)
+        return type(self), (self._entries, self._tlds, self._validation)
 
     @classmethod
     def default(cls, validation: bool = True, defanged: bool = True) -> "Extractor":
@@ -163,7 +162,7 @@ class Extractor:
         """A new handle extracting only the given subset of types."""
         wanted = set(types)
         kept = [e for e in self._entries if e.type in wanted]
-        return Extractor(kept, self._tlds, self._defang, self._validation)
+        return Extractor(kept, self._tlds, self._validation)
 
     def extract_raw(self, text: str) -> list[RawMatch]:
         """Every validated match, duplicates included, ordered by (start, type).
@@ -308,11 +307,6 @@ def extract(text: str) -> list[Indicator]:
     return _default().extract(text)
 
 
-_DEFAULT_INSTANCE: Extractor | None = None
-
-
+@functools.cache
 def _default() -> Extractor:
-    global _DEFAULT_INSTANCE
-    if _DEFAULT_INSTANCE is None:
-        _DEFAULT_INSTANCE = Extractor.default()
-    return _DEFAULT_INSTANCE
+    return Extractor.default()

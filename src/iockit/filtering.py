@@ -132,13 +132,12 @@ class DynamicBlocklist:
     frequent_per_origin: frozenset[tuple[IndicatorType, str]]
     popular_domains: frozenset[str]
     ubiquitous: frozenset[tuple[IndicatorType, str]]
-    private_networks: tuple[ipaddress.IPv4Network, ...] = PRIVATE_IPV4_NETWORKS
     suffix_rules: SuffixRules | None = field(default=None, compare=False)
 
 
-def load_tranco(path: str | Path, top_n: int = TRANCO_TOP_N) -> frozenset[str]:
+def load_tranco(path: str | Path) -> frozenset[str]:
     """Load a ``rank,domain`` popularity snapshot, keeping the first
-    ``top_n`` ranks; '#' comments allowed. A rank is ASCII digits."""
+    ``TRANCO_TOP_N`` ranks; '#' comments allowed. A rank is ASCII digits."""
     domains: set[str] = set()
     for line_no, line in read_lines(path):
         rank, sep, domain = line.partition(",")
@@ -146,7 +145,7 @@ def load_tranco(path: str | Path, top_n: int = TRANCO_TOP_N) -> frozenset[str]:
         if not sep or not (rank.isascii() and rank.isdigit()) or not domain:
             message = f"expected 'rank,domain', got {line.strip()!r}"
             raise MalformedLineError(path, line_no, message)
-        if int(rank) <= top_n:
+        if int(rank) <= TRANCO_TOP_N:
             domains.add(domain.lower().rstrip("."))
     return frozenset(domains)
 
@@ -200,7 +199,7 @@ def blocking_rule(indicator: Indicator, blocklist: DynamicBlocklist) -> str | No
             address = ipaddress.IPv4Address(indicator.value)
         except ValueError:
             return None
-        if any(address in net for net in blocklist.private_networks):
+        if any(address in net for net in PRIVATE_IPV4_NETWORKS):
             return "private_ip"
     return None
 

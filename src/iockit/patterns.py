@@ -23,7 +23,10 @@ adversarial input under a backtracking engine:
 
 Nested unbounded quantifiers and lookbehind-heavy forms are avoided; the
 test suite enforces a time budget on adversarial inputs for every entry.
-The URL backslash obfuscation is deliberately unsupported.
+The URL backslash obfuscation is deliberately unsupported. The dot and at
+forms are those of ``defang.DEFAULT_RULES``, the table that also rearms
+matches; the URL scheme and separator forms are written out here, as they
+combine with each other (``hxxps[:]//``).
 
 The extractor skips work that cannot match. The tables below are keyed by
 expression source, so a catalog file that repeats a built-in expression
@@ -61,16 +64,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .defang import DEFAULT_RULES
 from .types import IndicatorType
 
 _T = IndicatorType
 
+
+def _forms(armed: str) -> tuple[str, ...]:
+    """``armed``, then each defang rule pattern that rearms to it, in table order."""
+    return (armed, *(rule.pattern for rule in DEFAULT_RULES if rule.replacement == armed))
+
+
 # Armed-or-defanged separators, as literal forms. The plain variants are
-# used when defang support is disabled.
-_DOTS = (".", "[.]", "(.)", "[dot]", "(dot)")
-_PLAIN_DOTS = (".",)
-_ATS = ("@", "[at]", "(at)", "_at_")
-_PLAIN_ATS = ("@",)
+# used when defang support is disabled. The table's dot forms must not start
+# with a label character nor hold an at-form's first character (see the
+# possessive labels and ``_anchors``).
+_DOTS = _forms(".")
+_PLAIN_DOTS = _DOTS[:1]
+_ATS = _forms("@")
+_PLAIN_ATS = _ATS[:1]
 # A scheme after its first letter, which the URL expression matches as [hf].
 _SCHEME = r"(?:(?<=h)(?:tt|xx)ps?|(?<=f)tps?)"
 _PLAIN_SCHEME = r"(?:(?<=h)ttps?|(?<=f)tps?)"

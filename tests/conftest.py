@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from iockit.defang import DEFAULT_CATALOG
+from iockit.defang import defang
 from iockit.types import IndicatorType
 
 T = IndicatorType
@@ -234,7 +234,7 @@ def render(rng: random.Random, ind_type: IndicatorType, value: str) -> str:
     rules = PLANT_RULES.get(ind_type)
     if rules and rng.random() < 0.4:
         chosen = [rng.choice(rules)]
-        return DEFAULT_CATALOG.defang(value, ind_type, chosen)
+        return defang(value, ind_type, chosen)
     return value
 
 

@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 
 from iockit.corpus import _feed_subset, _TextExtractor
-from iockit.defang import DEFAULT_CATALOG, defang, rearm
+from iockit.defang import DEFAULT_RULES, defang, rearm
 from iockit.extractor import Extractor
 from iockit.filtering import CorpusStats, apply_filter, blocking_rule, build_blocklist
 from iockit.harness import (
@@ -90,9 +90,9 @@ def test_3_defang_round_trip():
     with criterion("3 defang-round-trip", budget_seconds=5):
         rng = random.Random(33)
         forge = ValueForge(rng)
-        # Every rule in the default catalog, 100 random armed values per
+        # Every rule in the default table, 100 random armed values per
         # applicable type, each fitted so the rule has material to rewrite.
-        for rule in DEFAULT_CATALOG:
+        for rule in DEFAULT_RULES:
             for ind_type in sorted(rule.types, key=lambda t: t.value):
                 for _ in range(100):
                     if rule.id.startswith("hxxps"):

@@ -875,6 +875,17 @@ def test_doc_freq_threshold_must_be_finite(corpus_dir, tranco_file, capsys, valu
     assert err.endswith(f"error: argument --doc-freq-threshold: not a finite number: {value!r}\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_jobs_must_be_positive(corpus_dir, capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["extract", "--manifest", str(corpus_dir / "manifest.tsv"), f"--jobs={value}"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: iockit extract")
+    assert err.endswith(f"error: argument --jobs: not a positive integer: {value!r}\n")
+
+
 #: Strings that JSON must escape or that json.dumps writes as ASCII escapes:
 #: quotes, backslashes, control characters, U+2028, non-ASCII, lone surrogates.
 _JSON_HOSTILE = st.text(st.one_of(

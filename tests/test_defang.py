@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from iockit.defang import DEFAULT_CATALOG, DefangCatalog, defang, load_rules, rearm
-from iockit.errors import InapplicableRuleError, MalformedLineError, MissingFileError
-from iockit.types import IndicatorType
+from iockit.defang import DEFAULT_RULES, defang, rearm
+from iockit.errors import InapplicableRuleError
+from iockit.extractor import Extractor
+from iockit.normalize import normalize
+from iockit.types import Indicator, IndicatorType
 
-from conftest import PLANT_RULES, ValueForge
+from conftest import PLANT_RULES, ValueForge, plant_text
 
 T = IndicatorType
 
@@ -85,42 +87,31 @@ def test_rearm_nested_obfuscation_reaches_fixpoint():
 
 
 def test_rule_table_strictly_removes_obfuscation():
-    for rule in DEFAULT_CATALOG:
+    for rule in DEFAULT_RULES:
         assert len(rule.replacement) <= len(rule.pattern)
         assert rule.types
 
 
-def test_load_rules_roundtrip(tmp_path):
-    path = tmp_path / "rules.tsv"
-    lines = ["# comment"]
-    for rule in DEFAULT_CATALOG:
-        types = ",".join(sorted(t.value for t in rule.types))
-        lines.append(f"{rule.id}\t{rule.pattern}\t{rule.replacement}\t{types}")
-    path.write_text("\n".join(lines))
-    loaded = load_rules(path)
-    assert [r.id for r in loaded] == [r.id for r in DEFAULT_CATALOG]
-    assert loaded.rearm("9[.]9[.]9[.]9", T.IP4) == "9.9.9.9"
-
-
-def test_load_rules_missing_file(tmp_path):
-    with pytest.raises(MissingFileError):
-        load_rules(tmp_path / "nope.tsv")
-
-
-def test_load_rules_malformed(tmp_path):
-    path = tmp_path / "rules.tsv"
-    path.write_text("only\ttwo\n")
-    with pytest.raises(MalformedLineError) as err:
-        load_rules(path)
-    assert (err.value.path, err.value.line_no) == (str(path), 1)
-    path.write_text("# comment\nr1\t[.]\t.\tnot_a_type\n")
-    with pytest.raises(MalformedLineError) as err:
-        load_rules(path)
-    assert (err.value.path, err.value.line_no) == (str(path), 2)
-
-
-def test_catalog_is_data_driven():
-    custom = DefangCatalog(
-        [r for r in DEFAULT_CATALOG if r.id != "bracket_dot"]
-    )
-    assert custom.rearm("9[.]9.9.9", T.IP4) == "9[.]9.9.9"
+def test_every_rule_is_extracted():
+    # Each rule, for each type it applies to, on values defanged with that
+    # rule alone and placed in prose: the extractor finds the armed value,
+    # so the expressions match every form the table rearms.
+    rng = random.Random(5)
+    forge = ValueForge(rng)
+    extractor = Extractor.default()
+    missed = []
+    for rule in DEFAULT_RULES:
+        for ind_type in sorted(rule.types, key=lambda t: t.value):
+            for _ in range(200):
+                if rule.id.startswith("hxxps"):
+                    value = forge.url(scheme="https")
+                elif rule.id.startswith("hxxp"):
+                    value = forge.url(scheme="http")
+                else:
+                    value = forge.value(ind_type)
+                defanged = defang(value, ind_type, [rule.id])
+                assert defanged != value
+                text = plant_text(rng, [(ind_type, defanged)])
+                if Indicator(ind_type, normalize(ind_type, value)) not in extractor.extract(text):
+                    missed.append((rule.id, defanged))
+    assert not missed, missed[:5]
