@@ -2,7 +2,7 @@
 indicators from text, and compare extraction tools by majority vote."""
 
 from .defang import DefangRule, defang, rearm
-from .extractor import Extractor, extract, extract_raw, load_catalog
+from .extractor import Extractor, extract, extract_raw
 from .filtering import (
     CorpusStats,
     DynamicBlocklist,
@@ -35,7 +35,6 @@ __all__ = [
     "defang",
     "extract",
     "extract_raw",
-    "load_catalog",
     "metrics",
     "normalize",
     "normalize_type_name",

@@ -23,9 +23,10 @@ from . import corpus, filtering, harness
 from .errors import (
     HashMismatchError, IockitError, MalformedLineError, OutputFileError, UnknownTypeError,
 )
-from .extractor import Extractor, default_catalog_path, default_tld_path, load_catalog
+from .extractor import Extractor
 from .normalize import normalize
 from .types import Indicator, IndicatorType, normalize_type_name
+from .validators import DEFAULT_TLDS, load_tlds
 
 
 def _err(message: str) -> None:
@@ -157,13 +158,8 @@ class _IndicatorLines:
 
 
 def _build_extractor(args) -> Extractor:
-    catalog = args.catalog or default_catalog_path()
-    tld_file = args.tld_file or default_tld_path()
-    extractor = load_catalog(catalog, tld_file)
-    if args.types:
-        wanted = [normalize_type_name(name) for name in args.types.split(",")]
-        extractor = extractor.restrict(wanted)
-    return extractor
+    types = map(normalize_type_name, args.types.split(",")) if args.types else IndicatorType
+    return Extractor(types, load_tlds(args.tld_file) if args.tld_file else DEFAULT_TLDS)
 
 
 #: The extractor and the --raw flag of this process's extract loop: set in
@@ -393,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="extract indicators from a corpus")
     p_extract.add_argument("--manifest", required=True, help="corpus manifest (TSV)")
-    p_extract.add_argument("--catalog", help="pattern catalog file (default: built-in)")
     p_extract.add_argument("--tld-file", help="TLD snapshot file (default: built-in)")
     p_extract.add_argument("--types", help="comma-separated type subset to extract")
     p_extract.add_argument(

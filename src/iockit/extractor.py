@@ -4,12 +4,12 @@ from __future__ import annotations
 import functools
 import re
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .defang import REARMERS
 from .errors import DATA, MalformedLineError, read_lines
 from .normalize import normalize
-from .patterns import ANCHORS, GATES, HEX_RUN, HEX_RUNS, PatternEntry, default_entries
+from .patterns import ANCHORS, GATES, HEX_RUN, HEX_SHAPES, PatternEntry, default_entries
 from .types import Indicator, IndicatorType, RawMatch
 from .validators import DEFAULT_TLDS, load_tlds, validator
 
@@ -80,61 +80,59 @@ class _Kind(NamedTuple):
 class Extractor:
     """Immutable extraction handle; safe to share across workers.
 
-    Holds the compiled pattern catalog and the TLD snapshot used by lookup
-    validators; matches are rearmed with ``defang.DEFAULT_RULES``. It is
-    pickled as the arguments that build it.
+    Holds the built-in expressions of its types (``patterns.default_entries``,
+    defang-broadened unless ``defanged`` is false) and the TLD snapshot used
+    by lookup validators; matches are rearmed with ``defang.DEFAULT_RULES``
+    and validated unless ``validation`` is false. It is pickled as the
+    arguments that build it.
 
-    The catalog is compiled into a scan plan (see ``patterns``): each entry
-    whose expression has an anchor is tried only near its anchors, each
-    one with a gate runs only on text holding a gate literal, and the
-    built-in fixed-length hex expressions share one ``HEX_RUN`` pass when
-    they have two or more shapes. Every other entry runs as written.
-    Results are those of one ``finditer`` pass per entry.
+    Each type is one pass of the scan plan (see ``patterns``): a type with
+    an anchor is tried only near its anchors, one with a gate runs only on
+    text holding a gate literal, and the fixed-length hex types share one
+    ``HEX_RUN`` pass when the extractor holds two or more of them. Results
+    are those of one ``finditer`` pass per type.
     """
 
     def __init__(
         self,
-        entries: Sequence[PatternEntry],
+        types: Iterable[IndicatorType] = frozenset(IndicatorType),
         tlds: frozenset[str] = DEFAULT_TLDS,
         validation: bool = True,
+        defanged: bool = True,
     ):
-        self._entries = tuple(sorted(entries, key=lambda e: e.priority))
+        wanted = frozenset(types)
+        self._entries = tuple(e for e in default_entries(defanged) if e.type in wanted)
+        self._types = frozenset(e.type for e in self._entries)
         self._tlds = frozenset(tlds)
         self._validation = validation
-        kinds = {
-            t: _Kind(
-                t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
-                validator(t, self._tlds) if validation else None,
-            )
-            for t in {entry.type for entry in self._entries}
-        }
+        self._defanged = defanged
+        anchors = ANCHORS[defanged]
+        # One hex shape alone runs its own expression, which is cheaper.
+        shared = len(self._types & HEX_SHAPES.keys()) > 1
         # (pattern, gate literals, compiled anchor or None, kind) of each
         # pass that runs on its own.
         passes = []
-        # Shape of a HEX_RUN match -> its kind, for the entries sharing it.
-        # One shape alone runs its own expression, which is cheaper.
+        # Shape of a HEX_RUN match -> its kind, for the types sharing it.
         self._hex_kinds: dict[tuple[str, int], _Kind] = {}
-        shared = len({HEX_RUNS.get(e.expression) for e in self._entries} - {None}) > 1
         for entry in self._entries:
-            shape = HEX_RUNS.get(entry.expression)
-            if shared and shape is not None and shape not in self._hex_kinds:
-                self._hex_kinds[shape] = kinds[entry.type]
-            else:
-                gate = GATES.get(entry.expression, ())
-                anchor = ANCHORS.get(entry.expression)
-                if anchor is not None:
-                    anchor = (re.compile(anchor.expression), anchor.reach, re.compile(anchor.start))
-                passes.append((re.compile(entry.expression), gate, anchor, kinds[entry.type]))
+            t = entry.type
+            kind = _Kind(
+                t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
+                validator(t, self._tlds) if validation else None,
+            )
+            if shared and t in HEX_SHAPES:
+                self._hex_kinds[HEX_SHAPES[t]] = kind
+                continue
+            anchor = anchors.get(t)
+            if anchor is not None:
+                anchor = (re.compile(anchor.expression), anchor.reach, re.compile(anchor.start))
+            passes.append((re.compile(entry.expression), GATES.get(t, ()), anchor, kind))
         self._passes = tuple(passes)
         self._hex_run = re.compile(HEX_RUN) if self._hex_kinds else None
-        # Names of the types held by two or more passes: only their matches
-        # can overlap.
-        held = [p[3].name for p in passes] + [k.name for k in self._hex_kinds.values()]
-        self._shared_types = frozenset(name for name in held if held.count(name) > 1)
 
     def __reduce__(self):
         # The kinds hold closures, which do not pickle.
-        return type(self), (self._entries, self._tlds, self._validation)
+        return type(self), (self._types, self._tlds, self._validation, self._defanged)
 
     @classmethod
     def default(cls, validation: bool = True, defanged: bool = True) -> "Extractor":
@@ -144,11 +142,11 @@ class Extractor:
         (the extractor then only sees armed indicators); ``validation=False``
         skips the per-type validation functions.
         """
-        return cls(default_entries(defanged=defanged), validation=validation)
+        return cls(validation=validation, defanged=defanged)
 
     @property
     def types(self) -> frozenset[IndicatorType]:
-        return frozenset(entry.type for entry in self._entries)
+        return self._types
 
     @property
     def entries(self) -> tuple[PatternEntry, ...]:
@@ -160,25 +158,21 @@ class Extractor:
 
     def restrict(self, types: Iterable[IndicatorType]) -> "Extractor":
         """A new handle extracting only the given subset of types."""
-        wanted = set(types)
-        kept = [e for e in self._entries if e.type in wanted]
-        return Extractor(kept, self._tlds, self._validation)
+        return Extractor(self._types & set(types), self._tlds, self._validation, self._defanged)
 
     def extract_raw(self, text: str) -> list[RawMatch]:
         """Every validated match, duplicates included, ordered by (start, type).
 
         Validation runs on the rearmed value. Within one type matches never
-        overlap (leftmost-longest wins); across types overlaps are all
-        reported, e.g. a URL and the domain embedded in it. Skips the
-        overlap drop for a type held by one pass, which has no overlaps.
+        overlap (each type is one pass); across types overlaps are all
+        reported, e.g. a URL and the domain embedded in it.
         """
         rows = []
-        for kind, kept in self._kept(text):
+        for kind, kept in self._accepted(text):
             name, ind_type = kind.name, kind.type
             rows += [(start, name, raw, rearmed, ind_type) for start, raw, rearmed in kept]
-        # Two kept matches of one type share a start only when both are
-        # empty, and then their rows are equal: sorting whole rows orders
-        # them by (start, type name) alone.
+        # No two matches of one type share a start, so sorting whole rows
+        # orders them by (start, type name) alone.
         rows.sort()
         return [RawMatch(ind_type, start, raw, rearmed) for start, _, raw, rearmed, ind_type in rows]
 
@@ -191,36 +185,16 @@ class Extractor:
         values go into one set, sorted once.
         """
         out: list[Indicator] = []
-        for kind, kept in sorted(self._kept(text), key=lambda found: found[0].name):
+        for kind, kept in sorted(self._accepted(text), key=lambda found: found[0].name):
             ind_type = kind.type
             values = sorted({normalize(ind_type, rearmed) for _, _, rearmed in kept})
             out.extend(Indicator(ind_type, value) for value in values)
         return out
 
-    def _kept(self, text: str) -> list[tuple[_Kind, list[tuple[int, str, str]]]]:
-        """Each type found in ``text`` with its accepted ``(start, raw,
-        rearmed)``, same-type overlaps dropped."""
-        found: dict[str, tuple[_Kind, list[tuple[int, str, str]]]] = {}
-        for kind, accepted in self._accepted(text):
-            if kind.name in found:
-                found[kind.name][1].extend(accepted)
-            elif accepted:
-                found[kind.name] = (kind, accepted)
-        # One pass's matches are in order and apart, and trimming only
-        # shrinks them, so the drop would remove nothing, unless an empty
-        # match starts where a longer one does (an expression that can match
-        # empty, from a catalog file).
-        return [
-            (kind, _drop_same_type_overlaps(accepted))
-            if kind.name in self._shared_types or not all(raw for _, raw, _ in accepted)
-            else (kind, accepted)
-            for kind, accepted in found.values()
-        ]
-
     def _accepted(self, text: str) -> Iterator[tuple[_Kind, list[tuple[int, str, str]]]]:
-        """Each pass over ``text`` as its kind and its accepted candidates,
-        ``(start, raw, rearmed)`` in text order: trimmed (URL, regkey),
-        rearmed, and validated unless validation is off."""
+        """Each type found in ``text`` as its kind and its accepted
+        candidates, ``(start, raw, rearmed)`` in text order: trimmed (URL,
+        regkey), rearmed, and validated unless validation is off."""
         for kind, matches in self._scan(text):
             trim, rearm, valid = kind.trim, kind.rearm, kind.valid
             accepted = []
@@ -231,12 +205,13 @@ class Extractor:
                 rearmed = rearm(raw)
                 if valid is None or valid(rearmed):
                     accepted.append((m.start(), raw, rearmed))
-            yield kind, accepted
+            if accepted:
+                yield kind, accepted
 
     def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[re.Match[str]]]]:
-        """Each pass over ``text`` as its kind and its pattern matches, in
-        text order and non-overlapping: one ``finditer``, one anchored pass,
-        or one type's share of the ``HEX_RUN`` pass."""
+        """Each type's pass over ``text`` as its kind and its pattern
+        matches, in text order and non-overlapping: one ``finditer``, one
+        anchored pass, or the type's share of the ``HEX_RUN`` pass."""
         lowered = text.lower()
         for pattern, gate, anchor, kind in self._passes:
             if anchor is not None:
@@ -252,25 +227,17 @@ class Extractor:
             yield from shares.values()
 
 
-def _drop_same_type_overlaps(
-    matches: list[tuple[int, str, str]]
-) -> list[tuple[int, str, str]]:
-    """Keep leftmost-longest ``(start, raw, rearmed)``; needed when one type
-    has several patterns."""
-    matches = sorted(matches, key=lambda m: (m[0], -len(m[1])))
-    kept = []
-    last_end = -1
-    for m in matches:
-        if m[0] >= last_end:
-            kept.append(m)
-            last_end = m[0] + len(m[1])
-    return kept
-
-
 def load_catalog(pattern_file: str | Path, tld_file: str | Path) -> Extractor:
-    """Build a reusable extractor from a pattern catalog of ``type<TAB>regex``
-    lines and a TLD snapshot."""
-    entries: list[PatternEntry] = []
+    """An extractor of the types listed in a ``type<TAB>regex`` file, each
+    line the built-in defang-broadened entry of its type, with the TLD
+    snapshot of ``tld_file``.
+
+    Nothing in the package calls it: it is kept, with ``data/patterns.tsv``
+    and the two path functions below, only while the benchmark's set-up
+    probe calls it to time building an extractor.
+    """
+    built_in = {(e.type, e.expression) for e in default_entries()}
+    types = set()
     for line_no, line in read_lines(pattern_file):
         type_name, sep, expression = line.partition("\t")
         if not sep or not expression.strip():
@@ -281,12 +248,11 @@ def load_catalog(pattern_file: str | Path, tld_file: str | Path) -> Extractor:
         except ValueError:
             message = f"unknown indicator type {type_name.strip()!r}"
             raise MalformedLineError(pattern_file, line_no, message) from None
-        try:
-            re.compile(expression)
-        except (re.error, OverflowError, RecursionError) as exc:
-            raise MalformedLineError(pattern_file, line_no, f"bad regex: {exc}") from None
-        entries.append(PatternEntry(ind_type, expression, line_no))
-    return Extractor(entries, tlds=load_tlds(tld_file))
+        if (ind_type, expression) not in built_in:
+            message = f"not the built-in {ind_type.value} expression"
+            raise MalformedLineError(pattern_file, line_no, message)
+        types.add(ind_type)
+    return Extractor(types, tlds=load_tlds(tld_file))
 
 
 def default_catalog_path() -> Path:

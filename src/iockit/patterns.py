@@ -28,18 +28,17 @@ forms are those of ``defang.DEFAULT_RULES``, the table that also rearms
 matches; the URL scheme and separator forms are written out here, as they
 combine with each other (``hxxps[:]//``).
 
-The extractor skips work that cannot match. The tables below are keyed by
-expression source, so a catalog file that repeats a built-in expression
-gets the same treatment, and any other expression runs as written:
+The extractor builds its scan plan from the tables below, keyed by type
+(``ANCHORS`` by variant first), and skips work that cannot match:
 
 * ``GATES``: a gate is a set of lowercase literals such that the lowered
-  text of every match of the expression contains one of them. The pass
-  runs only when one of them occurs in ``text.lower()``. So a gate letter
-  inside ``(?i:...)`` may only be one that IGNORECASE equates with code
-  points that lower to it: ``k`` qualifies (U+212A, the Kelvin sign, lowers
-  to ``k``), ``i`` and ``s`` do not (U+0131 and U+017F).
-* ``HEX_RUNS``: the guarded fixed-length hex expressions. When an
-  extractor holds two or more of their shapes, they share one ``HEX_RUN``
+  text of every match of the type's expression contains one of them. The
+  pass runs only when one of them occurs in ``text.lower()``. So a gate
+  letter inside ``(?i:...)`` may only be one that IGNORECASE equates with
+  code points that lower to it: ``k`` qualifies (U+212A, the Kelvin sign,
+  lowers to ``k``), ``i`` and ``s`` do not (U+0131 and U+017F).
+* ``HEX_SHAPES``: the types of the guarded fixed-length hex expressions.
+  When an extractor holds two or more of them, they share one ``HEX_RUN``
   pass; a match goes to the type whose ``(prefix, digits)`` it has, and is
   dropped when no type held by the extractor has that shape.
 * ``ANCHORS``: fqdn and email, which have no useful gate, are tried only
@@ -175,30 +174,30 @@ def _sources(
 
 @dataclass(frozen=True)
 class PatternEntry:
-    """A catalog entry: indicator type, regex source, iteration priority."""
+    """A catalog entry: indicator type and regex source."""
 
     type: IndicatorType
     expression: str
-    priority: int
 
 
-_DEFANGED = (_DOTS, _ATS, _SCHEME, _SEP)
-_PLAIN = (_PLAIN_DOTS, _PLAIN_ATS, _PLAIN_SCHEME, _PLAIN_SEP)
+#: The forms each variant matches, by whether it is defang-broadened.
+_VARIANTS = {
+    True: (_DOTS, _ATS, _SCHEME, _SEP),
+    False: (_PLAIN_DOTS, _PLAIN_ATS, _PLAIN_SCHEME, _PLAIN_SEP),
+}
 
 
 def default_entries(defanged: bool = True) -> list[PatternEntry]:
-    """The built-in catalog, broadened for defang transformations by default."""
-    sources = _sources(*(_DEFANGED if defanged else _PLAIN))
-    return [
-        PatternEntry(t, sources[t], priority)
-        for priority, t in enumerate(sorted(sources, key=lambda t: t.value))
-    ]
+    """The built-in catalog in type-name order, broadened for defang
+    transformations by default."""
+    sources = _sources(*_VARIANTS[defanged])
+    return [PatternEntry(t, sources[t]) for t in sorted(sources, key=lambda t: t.value)]
 
 
-#: Gate literals of the built-in expressions, by type. Types left out
-#: (ip4, asn, iban, bitcoin, monero) have no literal every match holds;
-#: fqdn and email have anchors instead.
-_GATE_LITERALS: dict[IndicatorType, tuple[str, ...]] = {
+#: Gate literals of each type's expression. Types left out (ip4, asn, iban,
+#: bitcoin, monero) have no literal every match holds; fqdn and email have
+#: anchors instead.
+GATES: dict[IndicatorType, tuple[str, ...]] = {
     _T.CVE: ("cve-",),
     _T.GOOGLE_ANALYTICS: ("ua-",),
     _T.GOOGLE_ADSENSE: ("pub-",),
@@ -212,7 +211,7 @@ _GATE_LITERALS: dict[IndicatorType, tuple[str, ...]] = {
 }
 
 #: The (prefix, hex digits) shape of each fixed-length hex type.
-_HEX_SHAPES: dict[IndicatorType, tuple[str, int]] = {
+HEX_SHAPES: dict[IndicatorType, tuple[str, int]] = {
     _T.MD5: ("", 32),
     _T.SHA1: ("", 40),
     _T.SHA256: ("", 64),
@@ -220,7 +219,7 @@ _HEX_SHAPES: dict[IndicatorType, tuple[str, int]] = {
     _T.ETHEREUM: ("0x", 40),
 }
 
-#: One pass that finds every match of the ``HEX_RUNS`` expressions: a guarded
+#: One pass that finds every match of the ``HEX_SHAPES`` expressions: a guarded
 #: run of 32-128 hex digits, ``0x``-prefixed or not.
 HEX_RUN = (
     rf"[0-9a-fA-F]{_HEX_GUARD_L}(?:(?<=0)x[0-9a-fA-F]{{32,128}}|[0-9a-fA-F]{{31,127}})"
@@ -272,23 +271,7 @@ def _anchors(
     }
 
 
-def _by_source(by_type: dict) -> dict:
-    """``by_type`` keyed by each type's expression source, in both variants."""
-    return {
-        source: by_type[t]
-        for variant in (_DEFANGED, _PLAIN)
-        for t, source in _sources(*variant).items()
-        if t in by_type
-    }
-
-
-#: Expression source -> gate literals.
-GATES: dict[str, tuple[str, ...]] = _by_source(_GATE_LITERALS)
-#: Expression source -> the (prefix, hex digits) shape of its matches.
-HEX_RUNS: dict[str, tuple[str, int]] = _by_source(_HEX_SHAPES)
-#: Expression source -> the anchor of its matches.
-ANCHORS: dict[str, Anchor] = {
-    _sources(*variant)[t]: anchor
-    for variant in (_DEFANGED, _PLAIN)
-    for t, anchor in _anchors(*variant).items()
+#: Variant (defanged or not) -> type -> the anchor of its matches.
+ANCHORS: dict[bool, dict[IndicatorType, Anchor]] = {
+    defanged: _anchors(*forms) for defanged, forms in _VARIANTS.items()
 }

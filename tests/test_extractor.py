@@ -16,15 +16,16 @@ from iockit.extractor import (
     load_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import (
-    _URL_PATH_CHAR, ANCHORS, GATES, HEX_RUNS, PatternEntry, default_entries,
-)
+from iockit.patterns import _URL_PATH_CHAR, ANCHORS, GATES, HEX_SHAPES, default_entries
 from iockit.types import Indicator, IndicatorType, RawMatch
-from iockit.validators import validate
+from iockit.validators import load_tlds, validate
 
 from conftest import gate_shaped, plant_text, render
 
 T = IndicatorType
+
+#: The shipped catalog line of each type: its built-in defang-broadened expression.
+BUILT_IN_LINE = {e.type: f"{e.type.value}\t{e.expression}" for e in default_entries()}
 
 
 def types_of(matches):
@@ -188,46 +189,41 @@ class TestCatalogLoading:
         shipped_pairs = {(e.type, e.expression) for e in shipped.entries}
         # On a mismatch, list each differing type as the line the builder
         # would write, ready to paste into data/patterns.tsv.
-        builder = dict(built)
-        differing = sorted({t.value for t, _ in shipped_pairs ^ built})
+        differing = sorted({t for t, _ in shipped_pairs ^ built}, key=lambda t: t.value)
         assert shipped_pairs == built, "data/patterns.tsv differs from default_entries():\n" + (
-            "\n".join(f"{name}\t{builder.get(T(name), '<not built>')}" for name in differing)
+            "\n".join(BUILT_IN_LINE[t] for t in differing)
         )
-        # The CLI's default extractor parses the shipped file, so its scan
-        # is planned only while the file's expressions are the builder's.
-        # The plain variant's expressions are planned too.
+        # Every type but these has a gate, a hex shape or an anchor, in
+        # both variants; only fqdn and email have anchors.
         unplanned = {T.IP4, T.ASN, T.IBAN, T.BITCOIN, T.MONERO}
-        for entries in (shipped.entries, default_entries(defanged=False)):
-            planned = {
-                e.type for e in entries
-                if any(e.expression in table for table in (GATES, HEX_RUNS, ANCHORS))
-            }
+        for defanged in (True, False):
+            planned = GATES.keys() | HEX_SHAPES.keys() | ANCHORS[defanged].keys()
             assert planned == set(T) - unplanned
-        assert {e.type for e in shipped.entries if e.expression in ANCHORS} == {T.EMAIL, T.FQDN}
-
-    def test_bad_regex_reports_line_number(self, tmp_path):
-        lines = ["# header"] + [f"md5\t[0-9a-f]{{{n}}}" for n in range(32, 37)] + ["url\t(unclosed"]
-        path = tmp_path / "patterns.tsv"
-        path.write_text("\n".join(lines))
-        with pytest.raises(MalformedLineError) as err:
-            load_catalog(path, default_tld_path())
-        assert err.value.line_no == 7
-        assert err.value.path == str(path)
+            assert ANCHORS[defanged].keys() == {T.EMAIL, T.FQDN}
 
     @pytest.mark.parametrize(
-        "expression", ["a{99999999999}", "(" * 1000 + ")" * 1000], ids=["overflow", "recursion"]
+        "expression",
+        ["[0-9a-f]{32}", "(unclosed", "a{99999999999}", BUILT_IN_LINE[T.SHA1].split("\t")[1]],
+        ids=["custom", "bad-regex", "overflow", "another-type"],
     )
-    def test_uncompilable_expression_reported_with_line(self, tmp_path, expression):
+    def test_non_built_in_expression_rejected_with_line(self, tmp_path, expression):
         path = tmp_path / "patterns.tsv"
-        path.write_text(f"md5\t[0-9a-f]{{32}}\nsha1\t{expression}\n")
+        path.write_text(f"# header\n{BUILT_IN_LINE[T.SHA1]}\nmd5\t{expression}\n")
         with pytest.raises(MalformedLineError) as err:
             load_catalog(path, default_tld_path())
-        assert (err.value.path, err.value.line_no) == (str(path), 2)
-        assert str(err.value).startswith(f"{path}:2: bad regex: ")
+        assert (err.value.path, err.value.line_no) == (str(path), 3)
+        assert str(err.value) == f"{path}:3: not the built-in md5 expression"
+
+    def test_not_utf8_rejected_with_line(self, tmp_path):
+        path = tmp_path / "patterns.tsv"
+        path.write_bytes(BUILT_IN_LINE[T.MD5].encode() + b"\r\n\xe9\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_catalog(path, default_tld_path())
+        assert str(err.value) == f"{path}:2: not UTF-8"
 
     def test_unknown_type_rejected_with_line(self, tmp_path):
         path = tmp_path / "patterns.tsv"
-        path.write_text("md5\t[0-9a-f]{32}\nyara\trule .*")
+        path.write_text(f"{BUILT_IN_LINE[T.MD5]}\nyara\trule .*")
         with pytest.raises(MalformedLineError) as err:
             load_catalog(path, default_tld_path())
         assert err.value.line_no == 2
@@ -239,17 +235,6 @@ class TestCatalogLoading:
         with pytest.raises(MissingFileError):
             load_catalog(default_catalog_path(), tmp_path / "nope.txt")
 
-    def test_subset_catalog(self, tmp_path):
-        path = tmp_path / "subset.tsv"
-        path.write_text(
-            "md5\t(?<![A-Za-z0-9])[0-9a-fA-F]{32}(?![A-Za-z0-9])\n"
-            "sha256\t(?<![A-Za-z0-9])[0-9a-fA-F]{64}(?![A-Za-z0-9])\n"
-        )
-        ex = load_catalog(path, default_tld_path())
-        assert ex.types == {T.MD5, T.SHA256}
-        text = "ip 1.2.3.4 md5 " + "ab" * 16
-        assert types_of(ex.extract_raw(text)) == [(T.MD5, "ab" * 16)]
-
     def test_restrict(self):
         ex = Extractor.default().restrict([T.IP4])
         assert types_of(ex.extract_raw("1.2.3.4 a.com")) == [(T.IP4, "1.2.3.4")]
@@ -260,18 +245,17 @@ class TestCatalogLoading:
         import pickle
 
         (tmp_path / "tlds.txt").write_text("test\n")
-        ex = load_catalog(default_catalog_path(), tmp_path / "tlds.txt").restrict([T.FQDN])
-        text = "see host.test and host.com"
-        assert pickle.loads(pickle.dumps(ex)).extract_raw(text) == ex.extract_raw(text)
+        text = "see host.test and host[.]com, 1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"
+        for ex in (
+            Extractor([T.FQDN], load_tlds(tmp_path / "tlds.txt")),
+            Extractor.default(defanged=False, validation=False),
+        ):
+            assert pickle.loads(pickle.dumps(ex)).extract_raw(text) == ex.extract_raw(text)
 
     def test_custom_tld_file_drives_validation(self, tmp_path):
-        catalog = tmp_path / "patterns.tsv"
-        catalog.write_text(
-            "fqdn\t(?<![\\w.\\-\\])])(?:[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?\\.){1,126}[A-Za-z]{2,63}(?!\\w)\n"
-        )
         tlds = tmp_path / "tlds.txt"
         tlds.write_text("test\n")
-        ex = load_catalog(catalog, tlds)
+        ex = Extractor([T.FQDN], load_tlds(tlds))
         got = types_of(ex.extract_raw("see host.test and host.com"))
         assert got == [(T.FQDN, "host.test")]
 
@@ -456,29 +440,6 @@ def reference_spans(extractor, text):
     )
 
 
-_BUILT_IN = {e.type: e.expression for e in default_entries()}
-#: The md5 expression under two types: the second runs as its own pass.
-_HEX_TWICE = [
-    PatternEntry(T.MD5, _BUILT_IN[T.MD5], 1),
-    PatternEntry(T.SHA1, _BUILT_IN[T.MD5], 2),
-    PatternEntry(T.ETHEREUM, _BUILT_IN[T.ETHEREUM], 3),
-]
-
-#: The defanged and the plain fqdn expression under one type: two passes
-#: whose matches overlap, so the same-type overlap drop has work to do.
-_FQDN_TWICE = [
-    PatternEntry(T.FQDN, e.expression, i)
-    for i, e in enumerate(
-        e for defanged in (True, False) for e in default_entries(defanged) if e.type is T.FQDN
-    )
-]
-#: Expressions that can match empty: an empty match can start where a
-#: longer match of the same pass does, and the overlap drop removes it.
-_EMPTY_MATCHES = [
-    PatternEntry(T.CVE, r"(?=[a-z])|[a-z]+", 1),
-    PatternEntry(T.ASN, r"\d*", 2),
-]
-
 #: Extractors whose planned scan is checked: name -> (factory, validation).
 PLANNED = {
     "default": (Extractor.default, True),
@@ -489,15 +450,12 @@ PLANNED = {
     "ethereum": (lambda: Extractor.default().restrict([T.ETHEREUM]), True),
     "sha1+ethereum": (lambda: Extractor.default().restrict([T.SHA1, T.ETHEREUM]), True),
     "md5+sha512": (lambda: Extractor.default().restrict([T.MD5, T.SHA512]), True),
-    "hex-twice": (lambda: Extractor(_HEX_TWICE, validation=False), False),
     "email": (lambda: Extractor.default(validation=False).restrict([T.EMAIL]), False),
     "fqdn": (lambda: Extractor.default(validation=False).restrict([T.FQDN]), False),
     "plain-email+fqdn": (
         lambda: Extractor.default(validation=False, defanged=False).restrict([T.EMAIL, T.FQDN]),
         False,
     ),
-    "fqdn-twice": (lambda: Extractor(_FQDN_TWICE), True),
-    "empty-matches": (lambda: Extractor(_EMPTY_MATCHES, validation=False), False),
 }
 
 #: Texts at the edges of the anchor windows of email and fqdn (see
@@ -536,8 +494,7 @@ ANCHOR_EDGES = [
 
 @pytest.mark.parametrize(
     "name,shared",
-    [("default", True), ("md5", False), ("ethereum", False), ("sha1+ethereum", True),
-     ("hex-twice", True)],
+    [("default", True), ("md5", False), ("ethereum", False), ("sha1+ethereum", True)],
 )
 def test_hex_run_shared_by_two_or_more_shapes(name, shared):
     # One hex shape alone runs its own expression, which is cheaper.
@@ -582,9 +539,10 @@ def test_gate_letters_lower_to_themselves():
     # that matches a gate letter must lower to that letter.
     letters = {
         ch
-        for expression, gate in GATES.items()
-        if "(?i" in expression
-        for literal in gate
+        for defanged in (True, False)
+        for entry in default_entries(defanged)
+        if "(?i" in entry.expression
+        for literal in GATES.get(entry.type, ())
         for ch in literal
         if ch.isalpha()
     }

@@ -193,6 +193,15 @@ def test_expressions_start_with_a_character_class():
         assert others == GUARD_FIRST, defanged
 
 
+def test_no_expression_can_match_empty():
+    # Each type is one pass whose matches are apart, which an empty match
+    # starting where a longer one does would break.
+    assert _parser.parse(HEX_RUN).getwidth()[0] > 0
+    for defanged in (True, False):
+        for e in default_entries(defanged=defanged):
+            assert _parser.parse(e.expression).getwidth()[0] > 0, (e.type, defanged)
+
+
 #: Each first-letter class and the case-insensitive letters it replaced.
 _LETTER_CLASSES = {
     "[Aa]": "(?i:a)",
