@@ -203,8 +203,8 @@ class TestCatalogLoading:
 
     @pytest.mark.parametrize(
         "expression",
-        ["[0-9a-f]{32}", "(unclosed", "a{99999999999}", BUILT_IN_LINE[T.SHA1].split("\t")[1]],
-        ids=["custom", "bad-regex", "overflow", "another-type"],
+        ["[0-9a-f]{32}", BUILT_IN_LINE[T.SHA1].split("\t")[1]],
+        ids=["custom", "another-type"],
     )
     def test_non_built_in_expression_rejected_with_line(self, tmp_path, expression):
         path = tmp_path / "patterns.tsv"
@@ -213,6 +213,30 @@ class TestCatalogLoading:
             load_catalog(path, default_tld_path())
         assert (err.value.path, err.value.line_no) == (str(path), 3)
         assert str(err.value) == f"{path}:3: not the built-in md5 expression"
+
+    def test_bad_regex_reports_line_number(self, tmp_path):
+        # A bad regex is not a built-in expression; it is reported at its
+        # line without being compiled.
+        built_in = [BUILT_IN_LINE[t] for t in (T.MD5, T.SHA1, T.SHA256, T.SHA512, T.CVE)]
+        lines = ["# header"] + built_in
+        path = tmp_path / "patterns.tsv"
+        path.write_text("\n".join(lines + ["url\t(unclosed"]))
+        with pytest.raises(MalformedLineError) as err:
+            load_catalog(path, default_tld_path())
+        assert err.value.line_no == 7
+        assert err.value.path == str(path)
+        assert str(err.value) == f"{path}:7: not the built-in url expression"
+
+    @pytest.mark.parametrize(
+        "expression", ["a{99999999999}", "(" * 1000 + ")" * 1000], ids=["overflow", "recursion"]
+    )
+    def test_uncompilable_expression_reported_with_line(self, tmp_path, expression):
+        path = tmp_path / "patterns.tsv"
+        path.write_text(f"{BUILT_IN_LINE[T.MD5]}\nsha1\t{expression}\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_catalog(path, default_tld_path())
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+        assert str(err.value) == f"{path}:2: not the built-in sha1 expression"
 
     def test_not_utf8_rejected_with_line(self, tmp_path):
         path = tmp_path / "patterns.tsv"
@@ -234,6 +258,14 @@ class TestCatalogLoading:
             load_catalog(tmp_path / "nope.tsv", default_tld_path())
         with pytest.raises(MissingFileError):
             load_catalog(default_catalog_path(), tmp_path / "nope.txt")
+
+    def test_subset_catalog(self, tmp_path):
+        path = tmp_path / "subset.tsv"
+        path.write_text(f"{BUILT_IN_LINE[T.MD5]}\n{BUILT_IN_LINE[T.SHA256]}\n")
+        ex = load_catalog(path, default_tld_path())
+        assert ex.types == {T.MD5, T.SHA256}
+        text = "ip 1.2.3.4 md5 " + "ab" * 16
+        assert types_of(ex.extract_raw(text)) == [(T.MD5, "ab" * 16)]
 
     def test_restrict(self):
         ex = Extractor.default().restrict([T.IP4])
@@ -450,12 +482,17 @@ PLANNED = {
     "ethereum": (lambda: Extractor.default().restrict([T.ETHEREUM]), True),
     "sha1+ethereum": (lambda: Extractor.default().restrict([T.SHA1, T.ETHEREUM]), True),
     "md5+sha512": (lambda: Extractor.default().restrict([T.MD5, T.SHA512]), True),
+    # A type named twice runs as one pass: hex shapes sharing one run, and
+    # an anchored type.
+    "hex-twice": (
+        lambda: Extractor([T.MD5, T.SHA1, T.MD5, T.ETHEREUM], validation=False), False),
     "email": (lambda: Extractor.default(validation=False).restrict([T.EMAIL]), False),
     "fqdn": (lambda: Extractor.default(validation=False).restrict([T.FQDN]), False),
     "plain-email+fqdn": (
         lambda: Extractor.default(validation=False, defanged=False).restrict([T.EMAIL, T.FQDN]),
         False,
     ),
+    "fqdn-twice": (lambda: Extractor([T.FQDN, T.FQDN]), True),
 }
 
 #: Texts at the edges of the anchor windows of email and fqdn (see
@@ -494,7 +531,8 @@ ANCHOR_EDGES = [
 
 @pytest.mark.parametrize(
     "name,shared",
-    [("default", True), ("md5", False), ("ethereum", False), ("sha1+ethereum", True)],
+    [("default", True), ("md5", False), ("ethereum", False), ("sha1+ethereum", True),
+     ("hex-twice", True)],
 )
 def test_hex_run_shared_by_two_or_more_shapes(name, shared):
     # One hex shape alone runs its own expression, which is cheaper.
