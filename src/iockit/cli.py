@@ -175,20 +175,23 @@ def _worker_init(extractor: Extractor, raw: bool) -> None:
 
 def _extract_lines(record: corpus.DocumentRecord) -> tuple[bool, str]:
     """One document from its bytes to its output lines: ``(True, output)``,
-    or ``(False, message)`` for the error that stopped it. The message, not
+    or ``(False, message)`` for whatever error stopped it. The message, not
     the exception, crosses back from a pool worker: HashMismatchError does
     not survive pickling."""
     extractor, raw = _WORKER
     try:
         text = record.read_text()
+        if record.format == "html":
+            text = corpus.extract_text(text)
+        found = extractor.extract_raw(text) if raw else extractor.extract(text)
+        return True, "".join(_json_lines(record.doc_id, found, raw))
     except HashMismatchError as exc:
         return False, str(exc)
     except OSError as exc:
         return False, f"{record.doc_id}: {exc}"
-    if record.format == "html":
-        text = corpus.extract_text(text)
-    found = extractor.extract_raw(text) if raw else extractor.extract(text)
-    return True, "".join(_json_lines(record.doc_id, found, raw))
+    except Exception as exc:
+        # A fault on one document stops that document, not the run.
+        return False, f"{record.doc_id}: {type(exc).__name__}: {exc}"
 
 
 #: The C string escaper of ``json.dumps`` (``ensure_ascii``), quotes included.

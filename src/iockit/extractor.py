@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .defang import REARMERS
 from .errors import DATA, MalformedLineError, read_lines
 from .normalize import normalize
-from .patterns import ANCHORS, GATES, HEX_RUN, HEX_SHAPES, PatternEntry, default_entries
+from .patterns import ANCHORS, RUN, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries
 from .types import Indicator, IndicatorType, RawMatch
 from .validators import DEFAULT_TLDS, load_tlds, validator
 
@@ -30,12 +30,6 @@ def _trim_trailing(raw: str) -> str:
         else:
             break
     return raw
-
-
-def _hex_shape(raw: str) -> tuple[str, int]:
-    """The (prefix, hex digits) shape of a ``HEX_RUN`` match."""
-    prefix = raw[:2] if raw.startswith("0x") else ""
-    return prefix, len(raw) - len(prefix)
 
 
 def _anchored(
@@ -87,10 +81,9 @@ class Extractor:
     arguments that build it.
 
     Each type is one pass of the scan plan (see ``patterns``): a type with
-    an anchor is tried only near its anchors, one with a gate runs only on
-    text holding a gate literal, and the fixed-length hex types share one
-    ``HEX_RUN`` pass when the extractor holds two or more of them. Results
-    are those of one ``finditer`` pass per type.
+    an anchor is tried only near its anchors, the run types share one pass
+    over alphanumeric runs, and asn runs one plain ``finditer``. Results are
+    those of one ``finditer`` pass per type.
     """
 
     def __init__(
@@ -107,28 +100,28 @@ class Extractor:
         self._validation = validation
         self._defanged = defanged
         anchors = ANCHORS[defanged]
-        # One hex shape alone runs its own expression, which is cheaper.
-        shared = len(self._types & HEX_SHAPES.keys()) > 1
-        # (pattern, gate literals, compiled anchor or None, kind) of each
-        # pass that runs on its own.
+        # (pattern, compiled anchor or None, kind) of each pass that runs on its own.
         passes = []
-        # Shape of a HEX_RUN match -> its kind, for the types sharing it.
-        self._hex_kinds: dict[tuple[str, int], _Kind] = {}
+        # Run length -> (body fullmatch, kind) of each run type held that a
+        # run of that length can be.
+        self._run_kinds: dict[int, tuple[tuple[Callable[[str], object], _Kind], ...]] = {}
         for entry in self._entries:
             t = entry.type
             kind = _Kind(
                 t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
                 validator(t, self._tlds) if validation else None,
             )
-            if shared and t in HEX_SHAPES:
-                self._hex_kinds[HEX_SHAPES[t]] = kind
+            if t in RUN_BODIES:
+                share = (re.compile(RUN_BODIES[t]).fullmatch, kind)
+                for n in RUN_LENGTHS[t]:
+                    self._run_kinds[n] = (*self._run_kinds.get(n, ()), share)
                 continue
             anchor = anchors.get(t)
             if anchor is not None:
                 anchor = (re.compile(anchor.expression), anchor.reach, re.compile(anchor.start))
-            passes.append((re.compile(entry.expression), GATES.get(t, ()), anchor, kind))
+            passes.append((re.compile(entry.expression), anchor, kind))
         self._passes = tuple(passes)
-        self._hex_run = re.compile(HEX_RUN) if self._hex_kinds else None
+        self._run = re.compile(RUN) if self._run_kinds else None
 
     def __reduce__(self):
         # The kinds hold closures, which do not pickle.
@@ -210,20 +203,21 @@ class Extractor:
 
     def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[re.Match[str]]]]:
         """Each type's pass over ``text`` as its kind and its pattern
-        matches, in text order and non-overlapping: one ``finditer``, one
-        anchored pass, or the type's share of the ``HEX_RUN`` pass."""
-        lowered = text.lower()
-        for pattern, gate, anchor, kind in self._passes:
-            if anchor is not None:
-                yield kind, _anchored(pattern, *anchor, text)
-            elif not gate or any(literal in lowered for literal in gate):
+        matches, in text order and non-overlapping: one anchored pass, one
+        ``finditer``, or the type's share of the run pass."""
+        for pattern, anchor, kind in self._passes:
+            if anchor is None:
                 yield kind, pattern.finditer(text)
-        if self._hex_run is not None:
+            else:
+                yield kind, _anchored(pattern, *anchor, text)
+        if self._run is not None:
+            run_kinds = self._run_kinds
             shares: dict[str, tuple[_Kind, list[re.Match[str]]]] = {}
-            for m in self._hex_run.finditer(text):
-                kind = self._hex_kinds.get(_hex_shape(m.group(0)))
-                if kind is not None:
-                    shares.setdefault(kind.name, (kind, []))[1].append(m)
+            for m in self._run.finditer(text):
+                run = m.group()
+                for fullmatch, kind in run_kinds.get(len(run), ()):
+                    if fullmatch(run):
+                        shares.setdefault(kind.name, (kind, []))[1].append(m)
             yield from shares.values()
 
 

@@ -29,34 +29,36 @@ matches; the URL scheme and separator forms are written out here, as they
 combine with each other (``hxxps[:]//``).
 
 The extractor builds its scan plan from the tables below, keyed by type
-(``ANCHORS`` by variant first), and skips work that cannot match:
+(``ANCHORS`` by variant first). Each type is one of three kinds of pass,
+and every kind finds exactly the matches of one ``finditer`` per type:
 
-* ``GATES``: a gate is a set of lowercase literals such that the lowered
-  text of every match of the type's expression contains one of them. The
-  pass runs only when one of them occurs in ``text.lower()``. So a gate
-  letter inside ``(?i:...)`` may only be one that IGNORECASE equates with
-  code points that lower to it: ``k`` qualifies (U+212A, the Kelvin sign,
-  lowers to ``k``), ``i`` and ``s`` do not (U+0131 and U+017F).
-* ``HEX_SHAPES``: the types of the guarded fixed-length hex expressions.
-  When an extractor holds two or more of them, they share one ``HEX_RUN``
-  pass; a match goes to the type whose ``(prefix, digits)`` it has, and is
-  dropped when no type held by the extractor has that shape.
-* ``ANCHORS``: fqdn and email, which have no useful gate, are tried only
-  near their anchors. Every match holds an anchor that begins at most
-  ``reach`` characters after the match starts: an at-form after an email's
-  local part (64 units of up to 5 characters, so 320, or 64 without
-  defang forms), a dot form and a label character after an fqdn's first
-  label (63). The anchor expression consumes only a form's first character
-  and looks ahead for the rest, so ``finditer`` reports every anchor,
-  overlapping ones too (``_at_at_``). For each anchor after the last
-  match, the extractor tries the expression at the positions in the
-  ``reach`` before it that no earlier window tried and where ``start``
-  holds: the guard, then only what a match can hold before the anchor (a
-  label for fqdn, local-part units for email) up to the anchor, so most
-  windows try one position. The first hit is the match ``finditer`` would
-  return, since a match starting earlier would hold an earlier anchor.
-  Windows never overlap, so the scan stays linear however dense the
-  anchors are.
+* anchored (``ANCHORS``): a type whose every match holds a literal (its
+  anchor) that begins at most ``reach`` characters after the match starts
+  is tried only near its anchors: an at-form after an email's local part,
+  a dot form after an fqdn's first label or an ip4's first number, the
+  ``-`` before the digits of cve, googleAnalytics and googleAdsense, the
+  first ``\\`` of a regkey, ``.onion``, the ``/`` of an ip4cidr, the ``//``
+  of a url, the first colon of an ssdeep, the first separator of a
+  macAddress and the second colon of an ip6. An anchor expression accepts
+  at least what its type's expression accepts there, with the same
+  Unicode classes (``\\d``), and is searched in the text itself: a lowered
+  copy can differ in length (``'İ'.lower()`` is two characters). It
+  consumes only a form's first character and looks ahead for the rest, so
+  ``finditer`` reports every anchor, overlapping ones too (``_at_at_``).
+  For each anchor after the last match, the extractor tries the expression
+  at the positions in the ``reach`` before it that no earlier window tried
+  and where ``start`` holds: the guard, then only what a match can hold
+  before the anchor, so most windows try one position. The first hit is
+  the match ``finditer`` would return, since a match starting earlier
+  would hold an earlier anchor. Windows never overlap, so the scan stays
+  linear however dense the anchors are.
+* run (``RUN_BODIES``): each match of md5, sha1, sha256, sha512, ethereum,
+  bitcoin, monero and iban is one maximal run of ``[A-Za-z0-9]`` that the
+  type's body fullmatches. One ``RUN`` pass finds the runs, and each goes to
+  every type held by the extractor whose body it fullmatches: a run can
+  be both md5 and bitcoin, or both md5 and iban.
+* plain: asn, whose matches hold no literal cheaper to find than the
+  expression's own first letter, runs one ``finditer``.
 """
 from __future__ import annotations
 
@@ -82,11 +84,12 @@ _DOTS = _forms(".")
 _PLAIN_DOTS = _DOTS[:1]
 _ATS = _forms("@")
 _PLAIN_ATS = _ATS[:1]
-# A scheme after its first letter, which the URL expression matches as [hf].
+# A scheme after its first letter, which the URL expression matches as [hf],
+# and the forms of the colon between a scheme and its ``//``.
 _SCHEME = r"(?:(?<=h)(?:tt|xx)ps?|(?<=f)tps?)"
 _PLAIN_SCHEME = r"(?:(?<=h)ttps?|(?<=f)tps?)"
-_SEP = r"(?::|\[:\])//"
-_PLAIN_SEP = "://"
+_COLONS = (":", "[:]")
+_PLAIN_COLONS = _COLONS[:1]
 
 _LABEL_START = "[A-Za-z0-9_]"
 _LABEL_CHAR = "[A-Za-z0-9_-]"
@@ -98,20 +101,64 @@ _LOCAL_CHAR = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~\-]"
 #: Most units (characters or dot forms) in an email local part.
 _LOCAL_UNITS = 64
 _TLD = r"(?:[A-Za-z]{2,63}|[Xx][Nn]--[A-Za-z0-9-]{1,59})"
-# The left guard, placed after the first character of a match.
-_HEX_GUARD_L = r"(?<![A-Za-z0-9].)"
-_HEX_GUARD_R = r"(?![A-Za-z0-9])"
+_HEX = "[0-9A-Fa-f]"
+# The hash types spell the same class lowercase first.
+_HASH_HEX = "[0-9a-fA-F]"
+# An alphanumeric run's left guard, placed after its first character.
+_RUN_GUARD_L = r"(?<![A-Za-z0-9].)"
+_RUN_GUARD_R = r"(?![A-Za-z0-9])"
 _B58 = r"[1-9A-HJ-NP-Za-km-z]"
 # A URL path character: ASCII, but not whitespace or any of <>"'`. Spelled
 # as ranges, as a negated class excluding \x80-\U0010ffff takes ten times
 # longer to compile and matches slower.
 _URL_PATH_CHAR = r"[\x00-\x08\x0e-\x1b!#-&(-;=?-_a-~\x7f]"
 
+# What the expressions of the anchored types match before their anchors.
+_IP4_HEAD = r"\d(?<![\w.\])].)\d{0,2}"
+_IP4CIDR_HEAD = rf"{_IP4_HEAD}(?:\.\d{{1,3}}){{3}}"
+_SSDEEP_HEAD = r"\d(?<![A-Za-z0-9:/+].)\d{0,17}"
+_SSDEEP_CHAR = "[A-Za-z0-9/+]"
+_CVE_HEAD = r"[Cc](?<![\w-].)(?i:VE)"
+_ANALYTICS_HEAD = r"[Uu](?<![\w-].)(?i:A)"
+_ONION_HEAD = r"(?<![A-Za-z0-9.\-])[a-z2-7]{16}(?:[a-z2-7]{40})?"
+_MAC_HEAD = rf"{_HEX}(?<![A-Za-z0-9:].){_HEX}"
 _REGKEY_HIVE = (
     r"[Hh](?i:KEY_(?:LOCAL_MACHINE|CURRENT_USER|CLASSES_ROOT|USERS|"
     r"CURRENT_CONFIG|PERFORMANCE_DATA)|KLM|KCU|KCR|KU|KCC)"
 )
-_REGKEY_SEGMENT = r"[A-Za-z0-9_.\-{}()@~#$%^&+=!']{1,128}"
+_REGKEY_CHAR = r"[A-Za-z0-9_.\-{}()@~#$%^&+=!']"
+
+#: The body of each run type, as (class, fewest, most) pieces: each match
+#: of the type's expression is a maximal run of [A-Za-z0-9] that is the
+#: pieces in order.
+_RUN_PIECES: dict[IndicatorType, tuple[tuple[str, int, int], ...]] = {
+    _T.MD5: ((_HASH_HEX, 32, 32),),
+    _T.SHA1: ((_HASH_HEX, 40, 40),),
+    _T.SHA256: ((_HASH_HEX, 64, 64),),
+    _T.SHA512: ((_HASH_HEX, 128, 128),),
+    _T.BITCOIN: (("[13]", 1, 1), (_B58, 25, 34)),
+    _T.ETHEREUM: (("0", 1, 1), ("x", 1, 1), (_HASH_HEX, 40, 40)),
+    _T.MONERO: (("[48]", 1, 1), (_B58, 94, 94)),
+    _T.IBAN: (("[A-Z]", 2, 2), ("[0-9]", 2, 2), ("[A-Z0-9]", 11, 30)),
+}
+
+
+def _spell(pieces) -> str:
+    """The expression of ``(class, fewest, most)`` pieces."""
+    out = ""
+    for cls, fewest, most in pieces:
+        if most == 1:
+            out += cls
+        elif most:
+            out += cls + (f"{{{most}}}" if fewest == most else f"{{{fewest},{most}}}")
+    return out
+
+
+def _run_expression(pieces) -> str:
+    """A run type's expression: its first character, the left guard, the
+    rest of its body and the right guard."""
+    (cls, fewest, most), *rest = pieces
+    return f"{cls}{_RUN_GUARD_L}{_spell([(cls, fewest - 1, most - 1), *rest])}{_RUN_GUARD_R}"
 
 
 def _either(forms: tuple[str, ...]) -> str:
@@ -121,17 +168,15 @@ def _either(forms: tuple[str, ...]) -> str:
 
 
 def _sources(
-    dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, sep: str
+    dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, colons: tuple[str, ...]
 ) -> dict[IndicatorType, str]:
     dot, at = _either(dots), _either(ats)
     domain_body = rf"(?:{_LABEL}{dot}){{1,126}}{_TLD}"
     local = rf"(?:{_LOCAL_CHAR}|{dot}){{1,{_LOCAL_UNITS}}}"
     host = rf"(?:[A-Za-z0-9_\-]{{1,63}}(?:{dot}[A-Za-z0-9_\-]{{1,63}}){{0,126}}|\[[0-9A-Fa-f:.]{{2,45}}\])"
     return {
-        _T.IP4: (
-            rf"\d(?<![\w.\])].)\d{{0,2}}(?:{dot}\d{{1,3}}){{3}}(?!\w)(?!{dot}\d)"
-        ),
-        _T.IP4CIDR: r"\d(?<![\w.\])].)\d{0,2}(?:\.\d{1,3}){3}/\d{1,2}(?!\w)",
+        _T.IP4: rf"{_IP4_HEAD}(?:{dot}\d{{1,3}}){{3}}(?!\w)(?!{dot}\d)",
+        _T.IP4CIDR: rf"{_IP4CIDR_HEAD}/\d{{1,2}}(?!\w)",
         _T.IP6: (
             r"[0-9A-Fa-f:](?<![\w:.].)(?:(?<=:)|(?<=[0-9A-Fa-f])[0-9A-Fa-f]{0,3}:)"
             r"(?:[0-9A-Fa-f]{0,4}:){1,6}"
@@ -139,36 +184,26 @@ def _sources(
         ),
         _T.FQDN: rf"(?<!{_FQDN_GUARD}){domain_body}(?!\w)",
         _T.URL: (
-            rf"[hf](?<![\w.\-@].){scheme}{sep}{host}(?::\d{{1,5}})?(?:[/?#]{_URL_PATH_CHAR}*)?"
+            rf"[hf](?<![\w.\-@].){scheme}{_either(colons)}//{host}(?::\d{{1,5}})?"
+            rf"(?:[/?#]{_URL_PATH_CHAR}*)?"
         ),
         _T.EMAIL: (
             rf"(?<!{_EMAIL_GUARD}){local}{at}{domain_body}(?!\w)"
         ),
-        _T.MD5: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{31}}{_HEX_GUARD_R}",
-        _T.SHA1: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{39}}{_HEX_GUARD_R}",
-        _T.SHA256: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{63}}{_HEX_GUARD_R}",
-        _T.SHA512: rf"[0-9a-fA-F]{_HEX_GUARD_L}[0-9a-fA-F]{{127}}{_HEX_GUARD_R}",
+        **{t: _run_expression(pieces) for t, pieces in _RUN_PIECES.items()},
         _T.SSDEEP: (
-            r"\d(?<![A-Za-z0-9:/+].)\d{0,17}:[A-Za-z0-9/+]{6,}:[A-Za-z0-9/+]{6,}"
+            rf"{_SSDEEP_HEAD}:{_SSDEEP_CHAR}{{6,}}:{_SSDEEP_CHAR}{{6,}}"
             r"(?![A-Za-z0-9:/+])"
         ),
-        _T.CVE: r"[Cc](?<![\w-].)(?i:VE)-\d{4}-\d{4,7}(?![\w-])",
+        _T.CVE: rf"{_CVE_HEAD}-\d{{4}}-\d{{4,7}}(?![\w-])",
         _T.ASN: r"[Aa](?<![\w-].)(?i:SN?)\d{1,10}(?![\w-])",
-        _T.BITCOIN: rf"[13]{_HEX_GUARD_L}{_B58}{{25,34}}{_HEX_GUARD_R}",
-        _T.ETHEREUM: rf"0{_HEX_GUARD_L}x[0-9a-fA-F]{{40}}{_HEX_GUARD_R}",
-        _T.MONERO: rf"[48]{_HEX_GUARD_L}{_B58}{{94}}{_HEX_GUARD_R}",
-        _T.ONION_ADDRESS: (
-            r"(?<![A-Za-z0-9.\-])[a-z2-7]{16}(?:[a-z2-7]{40})?\.onion"
-            r"(?![A-Za-z0-9\-])"
-        ),
-        _T.IBAN: rf"[A-Z]{_HEX_GUARD_L}[A-Z]\d{{2}}[A-Z0-9]{{11,30}}{_HEX_GUARD_R}",
+        _T.ONION_ADDRESS: rf"{_ONION_HEAD}\.onion(?![A-Za-z0-9\-])",
         _T.MAC_ADDRESS: (
-            r"[0-9A-Fa-f](?<![A-Za-z0-9:].)[0-9A-Fa-f][:-](?:[0-9A-Fa-f]{2}[:-]){4}"
-            r"[0-9A-Fa-f]{2}(?![A-Za-z0-9:-])"
+            rf"{_MAC_HEAD}[:-](?:{_HEX}{{2}}[:-]){{4}}{_HEX}{{2}}(?![A-Za-z0-9:-])"
         ),
-        _T.REGKEY: rf"{_REGKEY_HIVE}(?:\\{_REGKEY_SEGMENT}){{1,64}}",
+        _T.REGKEY: rf"{_REGKEY_HIVE}(?:\\{_REGKEY_CHAR}{{1,128}}){{1,64}}",
         _T.GOOGLE_ADSENSE: r"[CcPp](?<![\w-].)(?i:(?<=c)a-pub-|(?<=p)ub-)\d{16}(?![\w-])",
-        _T.GOOGLE_ANALYTICS: r"[Uu](?<![\w-].)(?i:A)-\d{4,10}(?:-\d{1,4})?(?![\w-])",
+        _T.GOOGLE_ANALYTICS: rf"{_ANALYTICS_HEAD}-\d{{4,10}}(?:-\d{{1,4}})?(?![\w-])",
     }
 
 
@@ -182,8 +217,8 @@ class PatternEntry:
 
 #: The forms each variant matches, by whether it is defang-broadened.
 _VARIANTS = {
-    True: (_DOTS, _ATS, _SCHEME, _SEP),
-    False: (_PLAIN_DOTS, _PLAIN_ATS, _PLAIN_SCHEME, _PLAIN_SEP),
+    True: (_DOTS, _ATS, _SCHEME, _COLONS),
+    False: (_PLAIN_DOTS, _PLAIN_ATS, _PLAIN_SCHEME, _PLAIN_COLONS),
 }
 
 
@@ -194,46 +229,30 @@ def default_entries(defanged: bool = True) -> list[PatternEntry]:
     return [PatternEntry(t, sources[t]) for t in sorted(sources, key=lambda t: t.value)]
 
 
-#: Gate literals of each type's expression. Types left out (ip4, asn, iban,
-#: bitcoin, monero) have no literal every match holds; fqdn and email have
-#: anchors instead.
-GATES: dict[IndicatorType, tuple[str, ...]] = {
-    _T.CVE: ("cve-",),
-    _T.GOOGLE_ANALYTICS: ("ua-",),
-    _T.GOOGLE_ADSENSE: ("pub-",),
-    _T.REGKEY: ("hk",),
-    _T.ONION_ADDRESS: (".onion",),
-    _T.IP6: (":",),
-    _T.SSDEEP: (":",),
-    _T.MAC_ADDRESS: (":", "-"),
-    _T.IP4CIDR: ("/",),
-    _T.URL: ("//",),
+#: The body of each run type, fullmatched by what its expression matches.
+RUN_BODIES: dict[IndicatorType, str] = {t: _spell(p) for t, p in _RUN_PIECES.items()}
+
+#: The length of the runs each run type's body can fullmatch.
+RUN_LENGTHS: dict[IndicatorType, range] = {
+    t: range(sum(fewest for _, fewest, _ in p), sum(most for _, _, most in p) + 1)
+    for t, p in _RUN_PIECES.items()
 }
 
-#: The (prefix, hex digits) shape of each fixed-length hex type.
-HEX_SHAPES: dict[IndicatorType, tuple[str, int]] = {
-    _T.MD5: ("", 32),
-    _T.SHA1: ("", 40),
-    _T.SHA256: ("", 64),
-    _T.SHA512: ("", 128),
-    _T.ETHEREUM: ("0x", 40),
-}
-
-#: One pass that finds every match of the ``HEX_SHAPES`` expressions: a guarded
-#: run of 32-128 hex digits, ``0x``-prefixed or not.
-HEX_RUN = (
-    rf"[0-9a-fA-F]{_HEX_GUARD_L}(?:(?<=0)x[0-9a-fA-F]{{32,128}}|[0-9a-fA-F]{{31,127}})"
-    rf"{_HEX_GUARD_R}"
+#: The run pass: every maximal run of [A-Za-z0-9] as long as some run type's
+#: body. Its guard comes first: its class holds most of prose.
+RUN = (
+    rf"(?<![A-Za-z0-9])[A-Za-z0-9]{{{min(r.start for r in RUN_LENGTHS.values())},"
+    rf"{max(r.stop for r in RUN_LENGTHS.values()) - 1}}}+{_RUN_GUARD_R}"
 )
 
 
 @dataclass(frozen=True)
 class Anchor:
     """Where the matches of an expression can start. Each match holds an
-    occurrence of ``expression`` (an anchor) that begins at most ``reach``
-    characters after the match starts. ``start`` is searched in the text cut
-    at an anchor (``endpos``): it matches where every match holding that
-    anchor, or a later one, starts in the ``reach`` before it."""
+    occurrence of ``expression`` (an anchor) that begins at least one and at
+    most ``reach`` characters after the match starts. ``start`` is searched
+    in the text cut at an anchor (``endpos``): it matches where every match
+    holding that anchor, or a later one, starts in the ``reach`` before it."""
 
     expression: str
     reach: int
@@ -251,12 +270,13 @@ def _occurrences(forms: tuple[str, ...], then: str = "") -> str:
 
 
 def _anchors(
-    dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, sep: str
+    dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, colons: tuple[str, ...]
 ) -> dict[IndicatorType, Anchor]:
     # An fqdn's first dot form comes after its first label, and a label
     # character follows it. An email's at-form comes after its local part,
     # and no dot form holds an at-form's first character, so the text from
     # a match's start to any anchor inside its local part is whole units.
+    # The other anchors come after a head that holds none of them.
     return {
         _T.FQDN: Anchor(
             _occurrences(dots, _LABEL_START),
@@ -267,6 +287,38 @@ def _anchors(
             _occurrences(ats),
             _LOCAL_UNITS * max(map(len, dots)),
             rf"(?<!{_EMAIL_GUARD})(?:{_LOCAL_CHAR}|{_either(dots)})++\Z",
+        ),
+        _T.IP4: Anchor(_occurrences(dots, r"\d"), 3, rf"{_IP4_HEAD}\Z"),
+        _T.IP4CIDR: Anchor(_occurrences(("/",), r"\d"), 15, rf"{_IP4CIDR_HEAD}\Z"),
+        # Every ip6 match holds two colons with at most four hex digits
+        # between them; the anchor is the second. Only hex digits and a
+        # colon come before the first pair's second colon, at most 9 in.
+        _T.IP6: Anchor(
+            ":(?:" + "|".join(rf"(?<=:{_HEX}{{{n}}}.)" for n in range(5)) + ")",
+            9,
+            rf"[0-9A-Fa-f:](?<![\w:.].)(?:{_HEX}{{0,3}}:)?{_HEX}{{0,4}}\Z",
+        ),
+        _T.URL: Anchor(
+            _occurrences(("//",)),
+            len("hxxps") + max(map(len, colons)),
+            rf"[hf](?<![\w.\-@].){scheme}{_either(colons)}\Z",
+        ),
+        _T.SSDEEP: Anchor(_occurrences((":",), f"{_SSDEEP_CHAR}{{6}}"), 18, rf"{_SSDEEP_HEAD}\Z"),
+        _T.CVE: Anchor(_occurrences(("-",), r"\d{4}-\d"), 3, rf"{_CVE_HEAD}\Z"),
+        _T.GOOGLE_ADSENSE: Anchor(
+            _occurrences(("-",), r"\d{16}"),
+            len("ca-pub"),
+            r"[CcPp](?<![\w-].)(?i:(?<=c)a-pub|(?<=p)ub)\Z",
+        ),
+        _T.GOOGLE_ANALYTICS: Anchor(_occurrences(("-",), r"\d{4}"), 2, rf"{_ANALYTICS_HEAD}\Z"),
+        _T.ONION_ADDRESS: Anchor(_occurrences((".onion",)), 56, rf"{_ONION_HEAD}\Z"),
+        _T.MAC_ADDRESS: Anchor(
+            _occurrences((":", "-"), f"{_HEX}{{2}}[:-]"), 2, rf"{_MAC_HEAD}\Z"
+        ),
+        _T.REGKEY: Anchor(
+            _occurrences(("\\",), _REGKEY_CHAR),
+            len("HKEY_PERFORMANCE_DATA"),
+            rf"{_REGKEY_HIVE}\Z",
         ),
     }
 

@@ -109,6 +109,8 @@ IBAN_LENGTHS: dict[str, int] = {
 }
 
 _IBAN_SHAPE = re.compile(r"[A-Z]{2}\d{2}[A-Z0-9]{11,30}\Z")
+#: Each IBAN character as the decimal digits of its base-36 value.
+_IBAN_DIGITS = str.maketrans({c: str(int(c, 36)) for c in "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"})
 
 
 def is_valid_iban(value: str) -> bool:
@@ -119,7 +121,9 @@ def is_valid_iban(value: str) -> bool:
     if bban_pattern is None or not bban_pattern.match(value[4:]):
         return False
     rearranged = value[4:] + value[:4]
-    number = int("".join(str(int(c, 36)) for c in rearranged))
+    # Other decimal digits, which the shape's \d lets through, are left as
+    # they are: int reads them as the digits they stand for.
+    number = int(rearranged.translate(_IBAN_DIGITS))
     return number % 97 == 1
 
 

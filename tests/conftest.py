@@ -330,34 +330,44 @@ def planted_corpus():
 
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
-#: Gate literals and their near misses, the code points IGNORECASE equates
-#: with k and s, and a full-width stop; anchors (dot forms and at-forms),
-#: overlapping at-forms, and runs as long as an anchor's reach.
-_GATE_PIECES = (
+_ALNUM = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+#: Anchor literals and their near misses, the code points IGNORECASE equates
+#: with k and s, other digits, a dotted capital I (two characters when
+#: lowered) and a full-width stop; overlapping at-forms, and runs as long as
+#: an anchor's reach.
+_ANCHOR_PIECES = (
     ":", "/", "@", "-", "_at_", "[at]", "(at)", "0x", "HK", "hk", ".", ",",
-    "CVE-", "UA-", "pub-", "\u212a", "\u017f", "\u3002", " ", "\\", "LM", "http", "onion",
+    "CVE-", "UA-", "pub-", "ca-pub-", "\u212a", "\u017f", "\u0130", "\u0663", "\u3002",
+    " ", "\\", "LM", "http", "onion", ".onion", "//", "[:]//",
     "[.]", "(.)", "[dot]", "(dot)", "_at_at_", "x.y", "a" * 63, "a" * 64, "[dot]" * 64,
 )
-#: One whole value of each gated type.
-_GATED_VALUES = (
+#: One whole value of each anchored type, and of the run types with bodies
+#: other than hex.
+_ANCHORED_VALUES = (
     "CVE-2021-44228", "cve-2021-4422", "UA-4422107-1", "pub-1234567890123456",
     "HKLM\\Run", "H\u212aCU\\Run", "0A:1b:2C:3d:4E:5f", "0a-1b-2c-3d-4e-5f",
     "10.0.0.0/8", "fe80::1", "3072:AXGBicFlgVNh:AXGHsN", "ops@crew.net",
     "ops[at]crew(.)net", "hxxp[:]//bad[.]io/x", "expyuzz4wqqyqhjn.onion",
+    "1.2.3.4", "9[.]9[.]9[.]9", "GB82WEST12345698765432", "1BoatSLRHtKNngkdXEeobR76b53LETtpyT",
 )
-#: Hex runs around each hex type's length.
+#: Hex runs around each hex type's length, and alphanumeric runs around the
+#: run pass's shortest and longest.
 _hex_runs = st.sampled_from((16, 31, 32, 33, 40, 41, 64, 128, 129)).flatmap(
     lambda n: st.text(_HEX_DIGITS, min_size=n, max_size=n)
 )
-#: Pieces of gate-shaped text: gate literals and near misses, gated values
-#: and hex runs.
-GATE_SHAPED_PIECES = (
-    st.sampled_from(_GATE_PIECES)
-    | st.sampled_from(_GATED_VALUES)
+_alnum_runs = st.sampled_from((14, 15, 34, 35, 128, 129)).flatmap(
+    lambda n: st.text(_ALNUM, min_size=n, max_size=n)
+)
+#: Pieces of text shaped to probe the scan plan: anchor literals and near
+#: misses, anchored values, and hex and alphanumeric runs.
+PLAN_SHAPED_PIECES = (
+    st.sampled_from(_ANCHOR_PIECES)
+    | st.sampled_from(_ANCHORED_VALUES)
     | st.text(_HEX_DIGITS, max_size=6)
     | _hex_runs
+    | _alnum_runs
 )
-gate_shaped = st.lists(GATE_SHAPED_PIECES, max_size=30).map("".join)
+plan_shaped = st.lists(PLAN_SHAPED_PIECES, max_size=30).map("".join)
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from iockit.harness import (
     metrics,
 )
 from iockit.normalize import normalize
-from iockit.patterns import HEX_RUN
+from iockit.patterns import RUN_BODIES
 from iockit.types import Indicator, IndicatorType
 from iockit.validators import is_valid_bitcoin, is_valid_iban, validate
 
@@ -258,17 +258,31 @@ ADVERSARIAL_SEEDS = {
 }
 
 
-# Near misses of the shared hex-run pass: a run one digit too long, and
-# 0x-prefixed runs one digit short of md5 and one past ethereum.
-HEX_RUN_STRESSORS = ("0" * 129 + "!", "0x" + "0" * 31 + "!", "0x" + "0" * 41 + "!")
+# Text for the run pass of all eight run types: runs one character past
+# the longest body, at the longest body, at the shortest run it takes, of
+# several types at once (md5, bitcoin and iban), and alphanumeric runs too
+# long for any type.
+RUN_STRESSORS = (
+    "0" * 129 + "!", "0" * 128 + "!", "A" * 15 + " ", "AB12" + "1" * 28 + " ", "a" * 200 + " ",
+)
 
 
-# Text for the windowed email and fqdn scans: anchors as dense as they come,
-# and anchors a window apart, each window full of positions where a match
-# could start.
+# Text for the anchored passes: anchors as dense as they come, and anchors a
+# window apart, each window full of positions where a match could start.
 ANCHOR_STRESSORS = {
     T.EMAIL: ("a" * 64 + "@", "[dot]a" * 53 + "@"),
     T.FQDN: ("x.y", "a " * 150 + "a."),
+    T.IP4: ("1[.]", "999(dot)9 "),
+    T.IP4CIDR: ("1/2", "123.123.123.123/1 "),
+    T.IP6: ("::", "abcd:abcd:"),
+    T.URL: ("/", "hxxps[:]//"),
+    T.SSDEEP: ("1:aaaaaa:", "9" * 18 + ":aaaaaa "),
+    T.CVE: ("-1234-1", "CVE-1234-1"),
+    T.GOOGLE_ANALYTICS: ("-1234", "UA-1234-"),
+    T.GOOGLE_ADSENSE: ("-" + "1" * 16, "ca-pub-" + "1" * 16 + "-"),
+    T.ONION_ADDRESS: (".onion", "a" * 56 + ".onion"),
+    T.MAC_ADDRESS: ("-0a-", "0a:1b:2c:3d:4e:5f:"),
+    T.REGKEY: ("\\a", "HKEY_PERFORMANCE_DATA\\"),
 }
 
 
@@ -301,8 +315,9 @@ def _finditer(pattern: re.Pattern):
 
 def _planned_scan(extractor: Extractor):
     def scan(text):
-        for _ in extractor._scan(text):
-            pass
+        for _kind, matches in extractor._scan(text):
+            for _ in matches:
+                pass
     return scan
 
 
@@ -338,9 +353,9 @@ def test_7_matching_time_budget():
             for entry in Extractor.default().entries
         ]
         cases += [
-            (("HEX_RUN", seed), _finditer(re.compile(HEX_RUN)),
+            (("run", seed), _planned_scan(Extractor(RUN_BODIES, validation=False)),
              [_repeat(seed, size) for size in sizes])
-            for seed in HEX_RUN_STRESSORS
+            for seed in RUN_STRESSORS
         ]
         cases += [
             (("windowed", ind_type, seed), _planned_scan(Extractor.default().restrict([ind_type])),

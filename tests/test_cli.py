@@ -43,6 +43,16 @@ def jlines(text):
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
+class FailingExtractor(Extractor):
+    """An extractor that fails on every document holding "boom"; a pool
+    worker gets it by pickle, so it lives at module level."""
+
+    def extract(self, text):
+        if "boom" in text:
+            raise ValueError("boom in the extractor")
+        return super().extract(text)
+
+
 class TestExtractCommand:
     def test_default_deduplicated_output(self, corpus_dir, capsys):
         code, out, err = run(capsys, "extract", "--manifest", str(corpus_dir / "manifest.tsv"))
@@ -145,6 +155,22 @@ class TestExtractCommand:
         code, out, _ = run(capsys, "extract", "--manifest", str(manifest), "--jobs", jobs)
         assert code == 0
         assert {r["value"] for r in jlines(out)} == {"8.8.4.4", "8.8.8.8"}
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_error_reported_as_the_documents(self, tmp_path, capsys, monkeypatch, jobs):
+        manifest = tmp_path / "manifest.tsv"
+        rows = [
+            add_doc(tmp_path, "ok.txt", "ip 8.8.8.8 here"),
+            add_doc(tmp_path, "bad.txt", "boom 8.8.4.4"),
+            add_doc(tmp_path, "also-ok.txt", "ip 1.1.1.1 here"),
+        ]
+        manifest.write_text("\n".join(rows) + "\n")
+        monkeypatch.setattr(cli, "_build_extractor", lambda args: FailingExtractor())
+        code, out, err = run(capsys, "extract", "--manifest", str(manifest), "--jobs", jobs)
+        assert code == 1
+        bad_id = rows[1].split("\t")[0]
+        assert err == f"iockit: {bad_id}: ValueError: boom in the extractor\n"
+        assert [r["value"] for r in jlines(out)] == ["8.8.8.8", "1.1.1.1"]
 
     def test_unreadable_doc_is_returned_not_raised(self, tmp_path):
         # A document that vanishes after the manifest loads must not stop

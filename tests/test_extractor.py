@@ -16,11 +16,11 @@ from iockit.extractor import (
     load_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import _URL_PATH_CHAR, ANCHORS, GATES, HEX_SHAPES, default_entries
+from iockit.patterns import _URL_PATH_CHAR, ANCHORS, RUN_BODIES, default_entries
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import load_tlds, validate
 
-from conftest import gate_shaped, plant_text, render
+from conftest import plan_shaped, plant_text, render
 
 T = IndicatorType
 
@@ -193,13 +193,11 @@ class TestCatalogLoading:
         assert shipped_pairs == built, "data/patterns.tsv differs from default_entries():\n" + (
             "\n".join(BUILT_IN_LINE[t] for t in differing)
         )
-        # Every type but these has a gate, a hex shape or an anchor, in
-        # both variants; only fqdn and email have anchors.
-        unplanned = {T.IP4, T.ASN, T.IBAN, T.BITCOIN, T.MONERO}
+        # Every type but asn has an anchor or a run body, never both, in
+        # both variants.
         for defanged in (True, False):
-            planned = GATES.keys() | HEX_SHAPES.keys() | ANCHORS[defanged].keys()
-            assert planned == set(T) - unplanned
-            assert ANCHORS[defanged].keys() == {T.EMAIL, T.FQDN}
+            assert not ANCHORS[defanged].keys() & RUN_BODIES.keys()
+            assert ANCHORS[defanged].keys() | RUN_BODIES.keys() == set(T) - {T.ASN}
 
     @pytest.mark.parametrize(
         "expression",
@@ -299,6 +297,16 @@ class TestModes:
         got = types_of(loose.extract_raw(text))
         assert (T.BITCOIN, "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNb") in got
         assert (T.FQDN, "foo.invalidtldzz") in got
+
+    def test_validation_disabled_emits_no_non_ascii_iban(self):
+        # The check digits are ASCII, as the run pass and the validator
+        # need: with validation off, a run of other digits is no iban.
+        loose = Extractor.default(validation=False)
+        assert loose.extract("pay GB\u0668\u0662WEST12345698765432 now") == []
+        assert loose.extract("pay GB\uff18\uff12WEST12345698765432 now") == []
+        assert types_of(loose.extract_raw("pay GB82WEST12345698765432 now")) == [
+            (T.IBAN, "GB82WEST12345698765432")
+        ]
 
     def test_defang_disabled_misses_defanged(self):
         plain = Extractor.default(defanged=False)
@@ -412,8 +420,8 @@ def test_deterministic_across_runs(rng, forge):
 
 
 def reference_extract_raw(extractor, text, validation=True):
-    """extract_raw as one finditer pass per entry, with no gate and no
-    shared pass: the scan the planned one must reproduce."""
+    """extract_raw as one finditer pass per entry, with no anchor and no
+    run pass: the scan the planned one must reproduce."""
     per_type = {}
     for entry in extractor.entries:
         for m in re.finditer(entry.expression, text):
@@ -482,7 +490,7 @@ PLANNED = {
     "ethereum": (lambda: Extractor.default().restrict([T.ETHEREUM]), True),
     "sha1+ethereum": (lambda: Extractor.default().restrict([T.SHA1, T.ETHEREUM]), True),
     "md5+sha512": (lambda: Extractor.default().restrict([T.MD5, T.SHA512]), True),
-    # A type named twice runs as one pass: hex shapes sharing one run, and
+    # A type named twice runs as one pass: run types sharing the run pass, and
     # an anchored type.
     "hex-twice": (
         lambda: Extractor([T.MD5, T.SHA1, T.MD5, T.ETHEREUM], validation=False), False),
@@ -493,11 +501,14 @@ PLANNED = {
         False,
     ),
     "fqdn-twice": (lambda: Extractor([T.FQDN, T.FQDN]), True),
+    # Run types whose bodies overlap (a run can be md5, bitcoin and iban at
+    # once), beside the one plain pass.
+    "runs+asn": (lambda: Extractor([T.MD5, T.BITCOIN, T.IBAN, T.ASN], validation=False), False),
 }
 
-#: Texts at the edges of the anchor windows of email and fqdn (see
-#: patterns.ANCHORS): an anchor exactly its reach after a possible start and
-#: one character further; a local part too long from its first character
+#: Texts at the edges of the anchor windows (see patterns.ANCHORS) and of
+#: the run pass. For email and fqdn: an anchor exactly its reach after a
+#: possible start and one character further; a local part too long from its first character
 #: but not from one after a dot form; overlapping at-forms and at-forms
 #: inside a local part; anchors inside the previous match; anchors with no
 #: match.
@@ -526,18 +537,42 @@ ANCHOR_EDGES = [
     "one.example.com.two.example.org",
     "@@@@ [at] (at) _at_ x@ _at_",
     "end. Next .x [.]y (dot)z 1.2.3.4 a. @.",
+    # The other anchors: each exactly its reach after a match start and one
+    # character further, overlapping, inside the previous match, and with
+    # no match.
+    " 123.4.5.6 1234.5.6.7 1[.]2[.]3[.]4 1(dot)22(.)3.4 1.2.3.4.5 9..9.9.9",
+    " 123.123.123.123/24 1234.123.123.123/24 10.0.0.0/8/9 1.2.3.4/5 1.2.3.4/5",
+    " abcd:abcd::1 abcde:abcd::1 :abcd:1 fe80::1::2 ::1 ::2 1:2:3:4:5:6:7:8 ::: a:b",
+    "hxxps[:]//a.io xhxxps[:]//a.io https://b.io http:///x ftp://a//b http://c//d",
+    " 123456789012345678:abcdef:ghijkl 1234567890123456789:abcdef:ghijkl",
+    "1:abcdef:abcdef:abcdef 3:abcdef:ghijkl:3:abcdef:ghijkl",
+    "CVE-2021-1234 xCVE-2021-1234 CVE-CVE-2021-1234-2021-1234 cVe-2021-12345678",
+    "UA-1234-1 UA-1234-12345 UA-UA-1234-1-1234 ua-12345678901",
+    "ca-pub-1234567890123456 pub-1234567890123456 xca-pub-1234567890123456 "
+    "CA-PUB-pub-1234567890123456",
+    " " + "a" * 16 + ".onion " + "b" * 56 + ".onion " + "c" * 57 + ".onion "
+    + "d" * 16 + ".onion.onion",
+    "0a:1b:2c:3d:4e:5f 0a-1b-2c-3d-4e-5f- 0a:1b:2c:3d:4e:5f:0a 0a:1b-2c:3d-4e:5f --0a--",
+    "HKEY_PERFORMANCE_DATA\\x HKEY_LOCAL_MACHINE\\a\\b hkcu\\\\x HKCC\\a HKU\\b",
+    "H\u212aLM\\Run HKEY_CLA\u017f\u017fES_ROOT\\x a\u017f12 AS\u0661\u0662 as\u0661",
+    "\u0130 CVE-2021-1234 \u0130\u0130 x@y.com \u0130 1.2.3.4 \u0130::1",
+    # Runs: at the shortest and longest lengths, one past the longest, of
+    # several types at once, and beside other digits.
+    "AB12CCCCCCCCCCC " + "0" * 128 + " " + "0" * 129 + " 0x" + "ab" * 20,
+    "1" + "abcdef123" * 3 + "abcd AB12" + "ABCDEF0123456789ABCDEF012345",
+    "GB\u0668\u0662WEST12345698765432 d41d8cd98f00b204e9800998ecf8427e\u0661",
 ]
 
 
-@pytest.mark.parametrize(
-    "name,shared",
-    [("default", True), ("md5", False), ("ethereum", False), ("sha1+ethereum", True),
-     ("hex-twice", True)],
-)
-def test_hex_run_shared_by_two_or_more_shapes(name, shared):
-    # One hex shape alone runs its own expression, which is cheaper.
+@pytest.mark.parametrize("name", PLANNED)
+def test_run_pass_holds_every_run_type(name):
+    # One run pass whenever the extractor holds a run type, however many;
+    # every other type is a pass of its own.
     extractor = PLANNED[name][0]()
-    assert (extractor._hex_run is not None) is shared
+    run_types = extractor.types & RUN_BODIES.keys()
+    assert (extractor._run is not None) is bool(run_types)
+    assert {kind.type for kinds in extractor._run_kinds.values() for _, kind in kinds} == run_types
+    assert {kind.type for *_, kind in extractor._passes} == extractor.types - run_types
 
 
 @pytest.mark.parametrize("name", PLANNED)
@@ -552,7 +587,7 @@ def test_planned_scan_matches_reference_on_corpus(name, planted_corpus):
 
 @pytest.mark.parametrize("name", PLANNED)
 @settings(max_examples=100, deadline=None)
-@given(text=gate_shaped)
+@given(text=plan_shaped)
 def test_planned_scan_matches_reference_on_gate_shaped_text(name, text):
     factory, validation = PLANNED[name]
     extractor = factory()
@@ -572,23 +607,57 @@ def test_planned_scan_matches_reference_on_anchor_edges(name, edge):
     assert extractor.extract(text) == reference_extract(extractor, text, validation)
 
 
-def test_gate_letters_lower_to_themselves():
-    # A gate is tested on text.lower(), so inside (?i:...) every code point
-    # that matches a gate letter must lower to that letter.
-    letters = {
-        ch
-        for defanged in (True, False)
-        for entry in default_entries(defanged)
-        if "(?i" in entry.expression
-        for literal in GATES.get(entry.type, ())
-        for ch in literal
-        if ch.isalpha()
-    }
-    assert letters >= set("cvuapbhk")
-    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
-    for letter in sorted(letters):
-        for m in re.finditer("(?i)" + letter, every_code_point):
-            assert m.group().lower() == letter, (letter, hex(ord(m.group())))
+#: Matches of each anchored and run type, defanged ones included, to
+#: mutate one character at a time.
+PLAN_SAMPLES = {
+    T.IP4: ("192.168.10.1", "9[.]9(dot)9(.)9"),
+    T.IP4CIDR: ("10.20.30.40/24",),
+    T.IP6: ("fe80::1:2", "::ffff:1.2.3.4", "1234:5678::9"),
+    T.FQDN: ("mail.example.com", "bad[.]example(dot)org"),
+    T.URL: ("https://a.io:80/x", "hxxps[:]//b[.]io/y", "ftp://c.io"),
+    T.EMAIL: ("ops@crew.net", "a.b_at_c[.]io"),
+    T.SSDEEP: ("3072:AXGBicFlgVNh:AXGHsN",),
+    T.CVE: ("CVE-2021-44228",),
+    T.GOOGLE_ANALYTICS: ("UA-4422107-12",),
+    T.GOOGLE_ADSENSE: ("ca-pub-1234567890123456", "pub-1234567890123456"),
+    T.ONION_ADDRESS: ("expyuzz4wqqyqhjn.onion",),
+    T.MAC_ADDRESS: ("0a:1b:2c:3d:4e:5f", "0A-1B-2C-3D-4E-5F"),
+    T.REGKEY: ("HKLM\\Run", "HKEY_CLASSES_ROOT\\x"),
+    T.MD5: ("d41d8cd98f00b204e9800998ecf8427e",),
+    T.ETHEREUM: ("0x" + "ab" * 20,),
+    T.BITCOIN: ("1BoatSLRHtKNngkdXEeobR76b53LETtpyT",),
+    T.IBAN: ("GB82WEST12345698765432",),
+}
+
+
+def _code_point_classes():
+    """ASCII, every code point past it that \\d or a case-insensitive ASCII
+    letter accepts, and one of each kind of the rest: a \\w character, a
+    space and neither. Past ASCII, the built-in expressions tell code points
+    apart only by \\d, \\w, \\s and case folding, so any other code point
+    acts as one of the last three."""
+    wider = re.compile(r"\d|(?i:[a-z])")
+    every = (chr(i) for i in range(128, sys.maxunicode + 1))
+    return [chr(i) for i in range(128)] + [c for c in every if wider.match(c)] + ["é", "\u3000", "€"]
+
+
+def test_plan_accepts_every_code_point_its_expression_does():
+    # Each character of a match in turn is replaced by each code point: the
+    # planned scan must find what the type's expression finds. So at each
+    # position an anchor, a start or a run body accepts the code points the
+    # expression accepts there (\d's other digits, U+017F for (?i:S),
+    # U+212A for (?i:K)), and no lowered copy of the text shifts offsets.
+    code_points = _code_point_classes()
+    assert {"\u0663", "\uff19", "\u017f", "\u212a", "\u0131", "\u0130"} <= set(code_points)
+    assert PLAN_SAMPLES.keys() == ANCHORS[True].keys() | {T.MD5, T.ETHEREUM, T.BITCOIN, T.IBAN}
+    for ind_type, samples in PLAN_SAMPLES.items():
+        for defanged in (True, False):
+            extractor = Extractor([ind_type], validation=False, defanged=defanged)
+            for sample in samples:
+                for i in range(len(sample)):
+                    text = "\n".join(f"{sample[:i]}{c}{sample[i + 1:]}" for c in code_points)
+                    assert scan_spans(extractor, text) == reference_spans(extractor, text), (
+                        ind_type, defanged, sample, i)
 
 
 def test_url_path_is_ascii_without_whitespace_or_delimiters():

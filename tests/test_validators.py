@@ -4,6 +4,8 @@ import pytest
 
 from iockit.types import IndicatorType
 from iockit.validators import (
+    _BBAN_PATTERNS,
+    _IBAN_SHAPE,
     DEFAULT_TLDS,
     IBAN_LENGTHS,
     base58check_decode,
@@ -77,6 +79,37 @@ def test_iban_every_single_char_mutation_fails():
                 continue
             mutated = GB_IBAN[:pos] + repl + GB_IBAN[pos + 1 :]
             assert not is_valid_iban(mutated), mutated
+
+
+def reference_is_valid_iban(value):
+    """is_valid_iban as written before it translated the characters at
+    once: ``int(c, 36)`` per character."""
+    if not _IBAN_SHAPE.match(value):
+        return False
+    bban_pattern = _BBAN_PATTERNS.get(value[:2])
+    if bban_pattern is None or not bban_pattern.match(value[4:]):
+        return False
+    rearranged = value[4:] + value[:4]
+    return int("".join(str(int(c, 36)) for c in rearranged)) % 97 == 1
+
+
+def test_iban_accepts_what_the_per_character_reference_does(forge, rng):
+    # Generated values, and each mutated at one position to a letter, a
+    # digit, a lowercase letter, another script's digit or punctuation.
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789az\u0668\uff12\u0967-. "
+    values = [forge.value(T.IBAN) for _ in range(300)] + [GB_IBAN, "GB\u0668\u0662WEST12345698765432"]
+    mutated = []
+    for value in values:
+        for _ in range(20):
+            pos = rng.randrange(len(value))
+            mutated.append(value[:pos] + rng.choice(alphabet) + value[pos + 1 :])
+        mutated += [value[:-1], value + "0", value[2:4] + value[:2] + value[4:]]
+    accepted = 0
+    for value in values + mutated:
+        expected = reference_is_valid_iban(value)
+        assert is_valid_iban(value) is expected, value
+        accepted += expected
+    assert accepted > len(values)
 
 
 def test_fqdn_tld_lookup():
