@@ -6,6 +6,10 @@ Exit codes: 0 success, 1 per-item errors (documents or input lines
 skipped, processing continued), 2 unusable inputs or an output file that
 cannot be opened. Commands raise IockitError or OSError for the latter;
 ``main`` alone reports them and returns 2.
+
+Each command imports the modules only it runs, when it runs: extract the
+extractor and its validators, filter the blocklist, compare the vote and
+its report.
 """
 from __future__ import annotations
 
@@ -18,15 +22,18 @@ import os
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus, filtering, harness
+from . import corpus
 from .errors import (
     HashMismatchError, IockitError, MalformedLineError, OutputFileError, UnknownTypeError,
 )
-from .extractor import Extractor
 from .normalize import normalize
 from .types import Indicator, IndicatorType, normalize_type_name
-from .validators import DEFAULT_TLDS, load_tlds
+
+if TYPE_CHECKING:
+    from . import harness
+    from .extractor import Extractor
 
 
 def _err(message: str) -> None:
@@ -158,6 +165,9 @@ class _IndicatorLines:
 
 
 def _build_extractor(args) -> Extractor:
+    from .extractor import Extractor
+    from .validators import DEFAULT_TLDS, load_tlds
+
     types = map(normalize_type_name, args.types.split(",")) if args.types else IndicatorType
     return Extractor(types, load_tlds(args.tld_file) if args.tld_file else DEFAULT_TLDS)
 
@@ -242,6 +252,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    from . import filtering
+
     records, failed = _load_manifest(args.manifest)
     known = {record.doc_id for record in records}
     by_doc: dict[str, set[Indicator]] = defaultdict(set)
@@ -256,12 +268,13 @@ def cmd_filter(args) -> int:
     stats = filtering.CorpusStats()
     for record in records:
         stats.add_document(record.origins, by_doc.get(record.doc_id, set()))
-    blocklist = filtering.build_blocklist(
-        stats,
-        args.tranco,
-        min_origin_docs=args.min_origin_docs,
-        doc_freq_threshold=args.doc_freq_threshold,
-    )
+    # A threshold not given on the command line takes build_blocklist's default.
+    thresholds = {
+        name: getattr(args, name)
+        for name in ("min_origin_docs", "doc_freq_threshold")
+        if hasattr(args, name)
+    }
+    blocklist = filtering.build_blocklist(stats, args.tranco, **thresholds)
 
     rule_counts: Counter = Counter()
     totals = Counter()
@@ -291,6 +304,8 @@ def cmd_filter(args) -> int:
 def _load_tool_outputs(directory: Path) -> tuple[list[harness.ToolOutput], int]:
     """ToolOutput objects grouped by (tool, doc) from every *.jsonl/*.json
     file in the directory, and the number of malformed lines skipped."""
+    from . import harness
+
     paths = sorted(
         p for p in directory.iterdir() if p.suffix in (".jsonl", ".json") and p.is_file()
     )
@@ -315,6 +330,8 @@ def _load_tool_outputs(directory: Path) -> tuple[list[harness.ToolOutput], int]:
 def _load_profiles(path: str) -> list[harness.ToolProfile]:
     """Tool profiles from a JSON object mapping each tool name to a list of
     type names; IockitError names the file when it is not one."""
+    from . import harness
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError:
@@ -337,6 +354,8 @@ def _load_profiles(path: str) -> list[harness.ToolProfile]:
 
 
 def cmd_compare(args) -> int:
+    from . import harness
+
     directory = Path(args.outputs_dir)
     if not directory.is_dir():
         raise IockitError(f"{directory}: not a directory")
@@ -410,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument(
         "--min-origin-docs",
         type=int,
-        default=filtering.DEFAULT_MIN_ORIGIN_DOCS,
+        default=argparse.SUPPRESS,
         help="per-origin document threshold for rule 2 (default: 20)",
     )
     p_filter.add_argument(
         "--doc-freq-threshold",
         type=_finite_float,
-        default=filtering.DEFAULT_DOC_FREQ_THRESHOLD,
+        default=argparse.SUPPRESS,
         help="document-frequency threshold for rule 4 (default: 0.90)",
     )
     p_filter.add_argument("--out", help="IOC output file (default: stdout)")

@@ -1,12 +1,16 @@
-"""Local-corpus ingestion: document manifests and HTML-to-text extraction."""
+"""Local-corpus ingestion: document manifests and HTML-to-text extraction.
+
+HTML documents within a strict subset are tokenized by one regular
+expression; ``html.parser`` is imported, and the parser class built on
+it, only the first time a document falls outside that subset. A run over
+text documents alone imports neither ``html`` nor ``html.parser``.
+"""
 from __future__ import annotations
 
-import hashlib
+import functools
 import re
-from dataclasses import dataclass
-from html import unescape
-from html.parser import HTMLParser
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import HashMismatchError, MalformedLineError, MissingFileError, read_lines
 
@@ -25,8 +29,7 @@ _BLOCK = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
     """One corpus document; ``doc_id`` is the SHA256 hex of the file bytes.
 
     Duplicate documents collected through several channels are collapsed
@@ -41,6 +44,9 @@ class DocumentRecord:
     def read_text(self) -> str:
         """The document decoded as UTF-8 (lossy on invalid bytes), read once;
         HashMismatchError when the bytes read do not hash to ``doc_id``."""
+        # Imported here: filter and compare read no document.
+        import hashlib
+
         data = self.path.read_bytes()
         if hashlib.sha256(data).hexdigest() != self.doc_id:
             raise HashMismatchError(self.doc_id, str(self.path))
@@ -85,9 +91,7 @@ def load_manifest(path: str | Path, strict: bool = True):
         if doc_id in by_id:
             existing = by_id[doc_id]
             if origin not in existing.origins:
-                by_id[doc_id] = DocumentRecord(
-                    doc_id, existing.path, existing.origins + (origin,), existing.format
-                )
+                by_id[doc_id] = existing._replace(origins=existing.origins + (origin,))
             continue
         if not doc_path.is_file():
             fail(MissingFileError(doc_path))
@@ -101,12 +105,12 @@ def load_manifest(path: str | Path, strict: bool = True):
     return records, errors
 
 
-class _TextExtractor(HTMLParser):
-    """Collects visible text; block boundaries become single newlines,
-    emitted lazily so the output never gains leading/trailing separators."""
+class _TextCollector:
+    """Collects visible text from parser callbacks; block boundaries become
+    single newlines, emitted lazily so the output never gains
+    leading/trailing separators."""
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self._chunks: list[str] = []
         self._suppress = 0
         self._pending_break = False
@@ -136,18 +140,31 @@ class _TextExtractor(HTMLParser):
             self._pending_break = False
         self._chunks.append(data)
 
-    def parse_marked_section(self, i, report=1):
-        # The stdlib raises AssertionError on a marked section it cannot
-        # parse (`<![ x`, `<![foo[`). Reported as unterminated instead, the
-        # section is passed on as text by close() and parsing resumes after
-        # it.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            return -1
-
     def text(self) -> str:
         return "".join(self._chunks)
+
+
+@functools.cache
+def _html_parser_class() -> type:
+    """A ``_TextCollector`` fed by ``HTMLParser``, built on first need."""
+    from html.parser import HTMLParser
+
+    class _HTMLTextParser(_TextCollector, HTMLParser):
+        def __init__(self):
+            _TextCollector.__init__(self)
+            HTMLParser.__init__(self, convert_charrefs=True)
+
+        def parse_marked_section(self, i, report=1):
+            # The stdlib raises AssertionError on a marked section it cannot
+            # parse (`<![ x`, `<![foo[`). Reported as unterminated instead,
+            # the section is passed on as text by close() and parsing
+            # resumes after it.
+            try:
+                return super().parse_marked_section(i, report)
+            except AssertionError:
+                return -1
+
+    return _HTMLTextParser
 
 
 # The strict subset of HTML that ``_feed_subset`` tokenizes. Whitespace
@@ -170,17 +187,19 @@ _TOKEN = re.compile(
     r"|<![Dd][Oo][Cc][Tt][Yy][Pp][Ee][^>]*+>"
     r"|\Z)"
 )
-#: HTMLParser's own end of a script or style element's raw content.
-_RAW_TEXT_END = {
-    tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in HTMLParser.CDATA_CONTENT_ELEMENTS
-}
+#: HTMLParser's own end of a script or style element's raw content, for
+#: each of its ``CDATA_CONTENT_ELEMENTS``.
+_RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in ("script", "style")}
 
 
-def _feed_subset(parser: _TextExtractor, html: str) -> bool:
+def _feed_subset(parser: _TextCollector, html: str) -> bool:
     """Drive ``parser``'s callbacks over ``html`` as ``HTMLParser.feed``
     and ``close`` would, or return False on markup outside ``_TOKEN``'s
     subset; the parser must then be discarded. Attributes are not parsed:
     the callbacks get none."""
+    # Imported here: only HTML documents need it, and they come this way.
+    from html import unescape
+
     pos, end = 0, len(html)
     while pos < end:
         m = _TOKEN.match(html, pos)
@@ -224,9 +243,9 @@ def extract_text(html: str) -> str:
     expression; any other document is parsed by ``HTMLParser``. The text
     is the same either way.
     """
-    parser = _TextExtractor()
+    parser = _TextCollector()
     if not _feed_subset(parser, html):
-        parser = _TextExtractor()
+        parser = _html_parser_class()()
         parser.feed(html)
         parser.close()
     return parser.text()

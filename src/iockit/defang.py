@@ -8,8 +8,7 @@ takes its dot and at forms from the same table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InapplicableRuleError
 from .types import IndicatorType
@@ -18,8 +17,7 @@ _T = IndicatorType
 _DOTTED = frozenset({_T.IP4, _T.FQDN, _T.URL, _T.EMAIL})
 
 
-@dataclass(frozen=True)
-class DefangRule:
+class DefangRule(NamedTuple):
     """One obfuscation: ``pattern`` is the defanged text, ``replacement`` the armed text."""
 
     id: str

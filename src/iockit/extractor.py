@@ -81,9 +81,10 @@ class Extractor:
     arguments that build it.
 
     Each type is one pass of the scan plan (see ``patterns``): a type with
-    an anchor is tried only near its anchors, the run types share one pass
-    over alphanumeric runs, and asn runs one plain ``finditer``. Results are
-    those of one ``finditer`` pass per type.
+    an anchor is tried only near its anchors, two or more run types share
+    one pass over alphanumeric runs, and asn, or a run type held alone,
+    runs one plain ``finditer``. Results are those of one ``finditer`` pass
+    per type.
     """
 
     def __init__(
@@ -100,6 +101,8 @@ class Extractor:
         self._validation = validation
         self._defanged = defanged
         anchors = ANCHORS[defanged]
+        # A lone run type is cheaper as a plain pass of its own expression.
+        shared_run = sum(t in RUN_BODIES for t in self._types) > 1
         # (pattern, compiled anchor or None, kind) of each pass that runs on its own.
         passes = []
         # Run length -> (body fullmatch, kind) of each run type held that a
@@ -111,7 +114,7 @@ class Extractor:
                 t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
                 validator(t, self._tlds) if validation else None,
             )
-            if t in RUN_BODIES:
+            if shared_run and t in RUN_BODIES:
                 share = (re.compile(RUN_BODIES[t]).fullmatch, kind)
                 for n in RUN_LENGTHS[t]:
                     self._run_kinds[n] = (*self._run_kinds.get(n, ()), share)

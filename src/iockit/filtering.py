@@ -14,10 +14,9 @@ from __future__ import annotations
 import ipaddress
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .domains import SuffixRules, registrable_domain
 from .errors import MalformedLineError, read_lines
@@ -99,9 +98,8 @@ class CorpusStats:
         for origin in origins:
             self.add_origin(origin)
             for ind in unique:
-                self.per_origin_doc_counts[(origin, (ind.type, ind.value))] += 1
-        for ind in unique:
-            self.doc_counts[(ind.type, ind.value)] += 1
+                self.per_origin_doc_counts[(origin, ind)] += 1
+        self.doc_counts.update(unique)
 
     def add_origin(self, origin: str) -> None:
         """Register a monitored origin; domain-shaped origin names feed rule 1."""
@@ -124,15 +122,15 @@ class CorpusStats:
         )
 
 
-@dataclass(frozen=True)
-class DynamicBlocklist:
-    """Compiled filter state; immutable and shared read-only by workers."""
+class DynamicBlocklist(NamedTuple):
+    """Compiled filter state; immutable and shared read-only by workers.
+    ``suffix_rules`` takes part in equality, by identity."""
 
     origin_domains: frozenset[str]
     frequent_per_origin: frozenset[tuple[IndicatorType, str]]
     popular_domains: frozenset[str]
     ubiquitous: frozenset[tuple[IndicatorType, str]]
-    suffix_rules: SuffixRules | None = field(default=None, compare=False)
+    suffix_rules: SuffixRules | None = None
 
 
 def load_tranco(path: str | Path) -> frozenset[str]:
@@ -180,19 +178,20 @@ def build_blocklist(
 def blocking_rule(indicator: Indicator, blocklist: DynamicBlocklist) -> str | None:
     """Name of the first rule (in rule order 1..5) that marks the indicator
     generic, or None when the indicator is an IOC."""
-    key = (indicator.type, indicator.value)
+    # An Indicator equals, and hashes as, the tuple of its (type, value):
+    # the rule 2 and 4 sets can hold either.
     candidates: set[str] | None = None
     if indicator.type in _DOMAIN_RULE_TYPES:
         candidates = _domain_candidates(indicator, blocklist.suffix_rules)
         if candidates & blocklist.origin_domains:
             return "origin_domain"
-    if key in blocklist.frequent_per_origin:
+    if indicator in blocklist.frequent_per_origin:
         return "frequent_per_origin"
     if indicator.type in _POPULARITY_RULE_TYPES:
         assert candidates is not None
         if candidates & blocklist.popular_domains:
             return "popular_domain"
-    if key in blocklist.ubiquitous:
+    if indicator in blocklist.ubiquitous:
         return "ubiquitous"
     if indicator.type is _T.IP4:
         try:

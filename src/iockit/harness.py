@@ -14,15 +14,13 @@ import csv
 import io
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DuplicateOutputError, UnknownToolError
 from .types import Indicator, IndicatorType
 
 
-@dataclass(frozen=True)
-class ToolProfile:
+class ToolProfile(NamedTuple):
     """A tool's name and the set of indicator types it can extract."""
 
     name: str
@@ -32,8 +30,7 @@ class ToolProfile:
         return type in self.supported_types
 
 
-@dataclass(frozen=True)
-class ToolOutput:
+class ToolOutput(NamedTuple):
     """Deduplicated, normalized indicators one tool extracted from one doc.
 
     ``error=True`` marks a crash: the tool produced no usable output for
@@ -46,12 +43,21 @@ class ToolOutput:
     error: bool = False
 
 
-@dataclass
 class Counts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
+    """One (tool, type) cell's tallies; mutable, compared by value."""
+
+    __slots__ = ("tp", "fp", "fn", "tn")
+
+    def __init__(self, tp: int = 0, fp: int = 0, fn: int = 0, tn: int = 0):
+        self.tp, self.fp, self.fn, self.tn = tp, fp, fn, tn
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Counts):
+            return NotImplemented
+        return (self.tp, self.fp, self.fn, self.tn) == (other.tp, other.fp, other.fn, other.tn)
+
+    def __repr__(self) -> str:
+        return f"Counts(tp={self.tp}, fp={self.fp}, fn={self.fn}, tn={self.tn})"
 
     def add(self, other: "Counts") -> None:
         self.tp += other.tp
@@ -60,15 +66,13 @@ class Counts:
         self.tn += other.tn
 
 
-@dataclass
 class AccuracyCounters:
     """Per (tool, type) tallies plus the per-type majority-positive counts
     (the "Count" column of the per-type report)."""
 
-    cells: dict[tuple[str, IndicatorType], Counts] = field(
-        default_factory=lambda: defaultdict(Counts)
-    )
-    positives: Counter = field(default_factory=Counter)
+    def __init__(self):
+        self.cells: dict[tuple[str, IndicatorType], Counts] = defaultdict(Counts)
+        self.positives: Counter = Counter()
 
     def cell(self, tool: str, type: IndicatorType) -> Counts:
         return self.cells[(tool, type)]

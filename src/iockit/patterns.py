@@ -54,16 +54,21 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   linear however dense the anchors are.
 * run (``RUN_BODIES``): each match of md5, sha1, sha256, sha512, ethereum,
   bitcoin, monero and iban is one maximal run of ``[A-Za-z0-9]`` that the
-  type's body fullmatches. One ``RUN`` pass finds the runs, and each goes to
-  every type held by the extractor whose body it fullmatches: a run can
-  be both md5 and bitcoin, or both md5 and iban.
+  type's body fullmatches. When the extractor holds two or more of them,
+  one ``RUN`` pass finds the runs, and each goes to every type held whose
+  body it fullmatches: a run can be both md5 and bitcoin, or both md5 and
+  iban. A run type held alone is a plain pass: its own expression costs
+  about what the ``RUN`` pass does, which enters the matcher at nearly
+  every word, and far less where its first character is rare (``0`` for
+  ethereum).
 * plain: asn, whose matches hold no literal cheaper to find than the
-  expression's own first letter, runs one ``finditer``.
+  expression's own first letter, runs one ``finditer``; so does a run
+  type held alone.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .defang import DEFAULT_RULES
 from .types import IndicatorType
@@ -207,8 +212,7 @@ def _sources(
     }
 
 
-@dataclass(frozen=True)
-class PatternEntry:
+class PatternEntry(NamedTuple):
     """A catalog entry: indicator type and regex source."""
 
     type: IndicatorType
@@ -246,8 +250,7 @@ RUN = (
 )
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(NamedTuple):
     """Where the matches of an expression can start. Each match holds an
     occurrence of ``expression`` (an anchor) that begins at least one and at
     most ``reach`` characters after the match starts. ``start`` is searched

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnknownTypeError
 
@@ -125,8 +125,7 @@ def normalize_type_name(alias: str) -> IndicatorType:
         raise UnknownTypeError(f"unsupported indicator type: {alias!r}") from None
 
 
-@dataclass(frozen=True)
-class RawMatch:
+class RawMatch(NamedTuple):
     """A single validated regex hit, prior to deduplication.
 
     ``start`` is a character offset into the source text, so
@@ -144,8 +143,7 @@ class RawMatch:
         return self.start + len(self.raw)
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(NamedTuple):
     """A deduplicated, rearmed, normalized (type, value) pair."""
 
     type: IndicatorType

@@ -3,10 +3,12 @@
 Validation runs after rearming, so none of these functions need to know
 about defang transformations. Checksummed types (bitcoin, iban) do real
 arithmetic; lookup types (fqdn, url, email) consult the pinned TLD
-snapshot; everything else is structural.
+snapshot; everything else is structural. An IBAN's country BBAN
+expression is compiled the first time that country is checked.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import ipaddress
 import re
@@ -94,14 +96,16 @@ _SEGMENT_CLASS = {"n": "[0-9]", "a": "[A-Z]", "c": "[A-Za-z0-9]"}
 _SEGMENT_RE = re.compile(r"(\d+)([nac])")
 
 
-def _compile_bban(structure: str) -> re.Pattern[str]:
-    parts = []
-    for count, kind in _SEGMENT_RE.findall(structure):
-        parts.append(f"{_SEGMENT_CLASS[kind]}{{{count}}}")
+@functools.cache
+def _bban_pattern(country: str) -> re.Pattern[str] | None:
+    """The BBAN expression of a country code, compiled the first time the
+    country is checked; None for a country without an IBAN structure."""
+    structure = IBAN_STRUCTURES.get(country)
+    if structure is None:
+        return None
+    parts = (f"{_SEGMENT_CLASS[kind]}{{{count}}}" for count, kind in _SEGMENT_RE.findall(structure))
     return re.compile("".join(parts) + r"\Z")
 
-
-_BBAN_PATTERNS = {cc: _compile_bban(s) for cc, s in IBAN_STRUCTURES.items()}
 
 IBAN_LENGTHS: dict[str, int] = {
     cc: 4 + sum(int(count) for count, _ in _SEGMENT_RE.findall(structure))
@@ -117,7 +121,7 @@ def is_valid_iban(value: str) -> bool:
     """Country BBAN structure holds and the rearranged value is 1 mod 97."""
     if not _IBAN_SHAPE.match(value):
         return False
-    bban_pattern = _BBAN_PATTERNS.get(value[:2])
+    bban_pattern = _bban_pattern(value[:2])
     if bban_pattern is None or not bban_pattern.match(value[4:]):
         return False
     rearranged = value[4:] + value[:4]

@@ -12,7 +12,7 @@ import re
 import time
 from contextlib import contextmanager
 
-from iockit.corpus import _feed_subset, _TextExtractor
+from iockit.corpus import _feed_subset, _TextCollector
 from iockit.defang import DEFAULT_RULES, defang, rearm
 from iockit.extractor import Extractor
 from iockit.filtering import CorpusStats, apply_filter, blocking_rule, build_blocklist
@@ -322,7 +322,7 @@ def _planned_scan(extractor: Extractor):
 
 
 def _tokenize(text: str) -> None:
-    assert not _feed_subset(_TextExtractor(), text)
+    assert not _feed_subset(_TextCollector(), text)
 
 
 def _scan_time(scan, text: str) -> float:

@@ -904,6 +904,16 @@ def test_doc_freq_threshold_must_be_finite(corpus_dir, tranco_file, capsys, valu
     assert err.endswith(f"error: argument --doc-freq-threshold: not a finite number: {value!r}\n")
 
 
+def test_filter_help_names_the_blocklist_defaults(capsys):
+    # The parser leaves the thresholds unset, so build_blocklist's defaults
+    # apply; its help must name the same values.
+    with pytest.raises(SystemExit):
+        main(["filter", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"rule 2 (default: {filtering.DEFAULT_MIN_ORIGIN_DOCS})" in help_text
+    assert f"rule 4 (default: {filtering.DEFAULT_DOC_FREQ_THRESHOLD:.2f})" in help_text
+
+
 @pytest.mark.parametrize("value", ["0", "-2", "x"])
 def test_jobs_must_be_positive(corpus_dir, capsys, value):
     with pytest.raises(SystemExit) as exit_:

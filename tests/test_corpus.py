@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iockit.corpus import (
+    _RAW_TEXT_END,
     DocumentRecord,
     _feed_subset,
-    _TextExtractor,
+    _html_parser_class,
+    _TextCollector,
     extract_text,
     load_manifest,
 )
@@ -191,7 +193,7 @@ class TestExtractText:
 
 
 def parsed_by_html_parser(html: str) -> str:
-    parser = _TextExtractor()
+    parser = _html_parser_class()()
     parser.feed(html)
     parser.close()
     return parser.text()
@@ -199,7 +201,7 @@ def parsed_by_html_parser(html: str) -> str:
 
 def fast_path_text(html: str):
     """The tokenizer's text, or None when it gives the document up."""
-    parser = _TextExtractor()
+    parser = _TextCollector()
     return parser.text() if _feed_subset(parser, html) else None
 
 
@@ -255,6 +257,13 @@ def html_documents(draw):
         at = draw(st.integers(0, len(pieces)))
         pieces.insert(at, draw(st.sampled_from(_NEAR_MISSES)))
     return "".join(pieces)
+
+
+def test_raw_text_elements_are_html_parsers():
+    # The tokenizer spells them out so that it need not import html.parser.
+    from html.parser import HTMLParser
+
+    assert tuple(_RAW_TEXT_END) == HTMLParser.CDATA_CONTENT_ELEMENTS
 
 
 @settings(max_examples=500, deadline=None)

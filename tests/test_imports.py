@@ -1,0 +1,104 @@
+"""What a cold start imports: each check runs in a fresh interpreter, started
+without ``site`` so that nothing but iockit decides what is loaded."""
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import iockit
+
+#: The directory iockit is imported from, put on the fresh interpreter's path.
+_SRC = str(Path(iockit.__file__).resolve().parents[1])
+
+#: Modules ``iockit extract`` does not run: a fresh ``import iockit.cli``
+#: must load none of them.
+NOT_AT_START = (
+    "dataclasses", "inspect", "html.parser", "fractions", "csv",
+    "iockit.filtering", "iockit.harness",
+)
+
+
+def fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_module_a_command_may_not_run():
+    loaded = fresh("""
+        import json, sys
+        import iockit.cli
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert [name for name in NOT_AT_START if name in loaded] == []
+
+
+def test_package_import_loads_no_submodule():
+    loaded = fresh("""
+        import json, sys
+        import iockit
+        print(json.dumps([name for name in sys.modules if name.startswith("iockit.")]))
+    """)
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "html, parsed",
+    [("<p>in the <b>subset</b></p>", False), ("<p>outside<![CDATA[x]]></p>", True)],
+)
+def test_html_parser_loaded_only_on_fallback(html, parsed):
+    loaded = fresh(f"""
+        import json, sys
+        from iockit.corpus import extract_text
+        extract_text({html!r})
+        print(json.dumps("html.parser" in sys.modules))
+    """)
+    assert loaded is parsed
+
+
+def test_every_export_resolves():
+    resolved = fresh("""
+        import json
+        import iockit
+        from iockit import Extractor
+        names = {name: type(getattr(iockit, name)).__name__ for name in iockit.__all__}
+        star = {}
+        exec("from iockit import *", star)
+        print(json.dumps({
+            "names": names,
+            "star": sorted(name for name in star if not name.startswith("__")),
+            "star_types": {name: type(star[name]).__name__ for name in iockit.__all__},
+        }))
+    """)
+    assert sorted(resolved["names"]) == sorted(iockit.__all__)
+    assert resolved["star"] == sorted(iockit.__all__)
+    # Importing a submodule binds its name in the package; ``defang`` and
+    # ``normalize`` stay the exported functions all the same.
+    assert resolved["names"]["defang"] == resolved["names"]["normalize"] == "function"
+    assert resolved["star_types"] == resolved["names"]
+
+
+def test_exports_are_the_modules_objects():
+    from iockit import corpus, defang, extractor, harness, normalize
+
+    for name in iockit.__all__:
+        assert getattr(iockit, name) is getattr(sys.modules[f"iockit.{iockit._EXPORTS[name]}"], name)
+    assert corpus is sys.modules["iockit.corpus"]
+    assert defang is sys.modules["iockit.defang"].defang
+    assert normalize is sys.modules["iockit.normalize"].normalize
+    assert extractor.Extractor is iockit.Extractor and harness.compare is iockit.compare
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        iockit.nope  # noqa: B018
+    assert not hasattr(iockit, "load_catalog")

@@ -4,8 +4,8 @@ import pytest
 
 from iockit.types import IndicatorType
 from iockit.validators import (
-    _BBAN_PATTERNS,
     _IBAN_SHAPE,
+    _bban_pattern,
     DEFAULT_TLDS,
     IBAN_LENGTHS,
     base58check_decode,
@@ -86,7 +86,7 @@ def reference_is_valid_iban(value):
     once: ``int(c, 36)`` per character."""
     if not _IBAN_SHAPE.match(value):
         return False
-    bban_pattern = _BBAN_PATTERNS.get(value[:2])
+    bban_pattern = _bban_pattern(value[:2])
     if bban_pattern is None or not bban_pattern.match(value[4:]):
         return False
     rearranged = value[4:] + value[:4]
