@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -92,66 +93,102 @@ def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
     return records, bool(errors)
 
 
+#: The scanner of ``json.loads``: ``(value, end)`` for the JSON value that
+#: starts at an index of a str; StopIteration or ValueError where none does.
+_scan = json.decoder.JSONDecoder().scan_once
+#: The whitespace JSON allows around a value.
+_JSON_SPACE = b" \t\n\r"
+
+
+def _json_object(line: bytes) -> dict | None:
+    """The JSON object of one line, exactly as ``json.loads`` reads it, or
+    None for a line that ``str.isspace`` calls blank; ValueError says why
+    it is neither."""
+    # A line that holds an object between JSON whitespace, the common case,
+    # is read by the scanner alone.
+    try:
+        text = line.strip(_JSON_SPACE).decode("utf-8")
+        value, end = _scan(text, 0)
+        if end == len(text) and isinstance(value, dict):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("not UTF-8") from None
+    if text.isspace():
+        return None
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON: {exc.msg} at column {exc.colno}") from None
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
+
+
 class _IndicatorLines:
     """Indicator records read from JSON-lines files ('-' is stdin) one line
     at a time, as ``(tool, doc_id, indicator)``: the doc id lowercased, the
     type name and value normalized, ``tool`` None when the line has none.
-    A line with an ``error`` field marks a tool crash on that document and
-    gives ``indicator`` None.
+    A line whose ``error`` value is truthy marks a tool crash on that
+    document and gives ``indicator`` None.
 
     Every line needs string ``keys``, and string ``type`` and ``value``
     unless it is an error line. A line that is not UTF-8, does not parse or
     lacks these is reported as ``path:line: reason``, skipped and counted
     in ``malformed``. An unknown type name is warned about once and its lines
     are skipped; that is not an error.
+
+    With ``shared``, each distinct (type name, value) pair is converted
+    once per iteration, and its lines share one Indicator.
     """
 
-    def __init__(self, paths, keys: tuple[str, ...]):
+    def __init__(self, paths, keys: tuple[str, ...], shared: bool = False):
         self.paths = paths
         self.keys = keys
         self.indicator_keys = keys + ("type", "value")
+        self.shared = shared
         self.malformed = 0
         self._types: dict[str, IndicatorType | None] = {}
 
     def __iter__(self):
+        indicator = functools.cache(self._indicator) if self.shared else self._indicator
         for path in self.paths:
             source = contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb")
             with source as stream:
                 for line_no, line in enumerate(stream, 1):
                     try:
-                        record = self._parse(line)
+                        obj = _json_object(line)
+                        if obj is None:
+                            continue
+                        error = self._check(obj)
                     except ValueError as exc:
                         _err(f"{path}:{line_no}: {exc}")
                         self.malformed += 1
                         continue
-                    if record is not None:
-                        yield record
+                    tool, doc_id = obj.get("tool"), obj["doc_id"].lower()
+                    if error:
+                        yield tool, doc_id, None
+                        continue
+                    found = indicator(obj["type"], obj["value"])
+                    if found is not None:
+                        yield tool, doc_id, found
 
-    def _parse(self, line: bytes):
-        """The line's record, or None for a blank line or an unknown type;
-        ValueError says what is malformed."""
-        try:
-            text = line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError("not UTF-8") from None
-        if text.isspace():
-            return None
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON: {exc.msg} at column {exc.colno}") from None
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
+    def _check(self, obj: dict) -> bool:
+        """Whether a line's object is an error line; ValueError says what
+        it lacks."""
         error = obj.get("error")
         for key in self.keys if error else self.indicator_keys:
             if not isinstance(obj.get(key), str):
                 if key not in obj:
                     raise ValueError(f"missing key {key!r}")
                 raise ValueError(f"{key!r} is not a string")
-        tool, doc_id = obj.get("tool"), obj["doc_id"].lower()
-        if error:
-            return tool, doc_id, None
-        name = obj["type"]
+        return bool(error)
+
+    def _indicator(self, name: str, value: str) -> Indicator | None:
+        """The normalized Indicator, or None for an unknown type name."""
         if name not in self._types:
             try:
                 self._types[name] = normalize_type_name(name)
@@ -161,7 +198,7 @@ class _IndicatorLines:
         ind_type = self._types[name]
         if ind_type is None:
             return None
-        return tool, doc_id, Indicator(ind_type, normalize(ind_type, obj["value"]))
+        return Indicator(ind_type, normalize(ind_type, value))
 
 
 def _build_extractor(args) -> Extractor:
@@ -309,7 +346,7 @@ def _load_tool_outputs(directory: Path) -> tuple[list[harness.ToolOutput], int]:
     paths = sorted(
         p for p in directory.iterdir() if p.suffix in (".jsonl", ".json") and p.is_file()
     )
-    reader = _IndicatorLines(paths, ("tool", "doc_id"))
+    reader = _IndicatorLines(paths, ("tool", "doc_id"), shared=True)
     indicator_sets: dict[tuple[str, str], set[Indicator]] = defaultdict(set)
     errored: set[tuple[str, str]] = set()
     for tool, doc_id, indicator in reader:

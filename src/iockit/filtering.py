@@ -115,10 +115,9 @@ class CorpusStats:
         documents, compared exactly (as the decimal the threshold prints as)
         in integers."""
         limit = Fraction(str(threshold))
+        denominator, bound = limit.denominator, limit.numerator * self.total_docs
         return frozenset(
-            key
-            for key, count in self.doc_counts.items()
-            if count * limit.denominator > limit.numerator * self.total_docs
+            key for key, count in self.doc_counts.items() if count * denominator > bound
         )
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from collections import Counter, defaultdict
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DuplicateOutputError, UnknownToolError
@@ -91,7 +92,7 @@ def compare(
     Outputs must already be normalized. A missing (tool, doc) output means
     the tool found nothing there; outputs for documents absent from
     ``docs`` are ignored. The result is independent of the order of
-    ``docs`` and ``outputs``.
+    ``profiles``, ``docs`` and ``outputs``.
     """
     by_name = {p.name: p for p in profiles}
     if len(by_name) != len(profiles):
@@ -105,32 +106,42 @@ def compare(
             raise DuplicateOutputError(output.tool, output.doc_id)
         doc_outputs[output.tool] = frozenset() if output.error else output.indicators
 
-    supported_by_type: dict[IndicatorType, frozenset[str]] = {
-        t: frozenset(p.name for p in profiles if p.supports(t)) for t in IndicatorType
+    # Each profile is one bit of a tool mask, in profile order; a vote is
+    # decided by its type and the mask of the tools that found it, so each
+    # distinct (type, found mask) is tallied once, times its count.
+    names = [p.name for p in profiles]
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    supported_mask = {
+        t: sum(bit[p.name] for p in profiles if p.supports(t)) for t in IndicatorType
     }
+    votes: Counter = Counter()
+    for doc_id in docs:
+        found_by: dict[Indicator, int] = {}
+        for tool, indicators in per_doc.get(doc_id, {}).items():
+            tool_bit = bit[tool]
+            for indicator in indicators:
+                found_by[indicator] = found_by.get(indicator, 0) | tool_bit
+        votes.update(zip(map(attrgetter("type"), found_by), found_by.values()))
+
+    def tools(mask: int) -> list[str]:
+        return [name for i, name in enumerate(names) if mask >> i & 1]
 
     counters = AccuracyCounters()
-    for doc_id in docs:
-        doc_outputs = per_doc.get(doc_id, {})
-        found_by: dict[Indicator, set[str]] = defaultdict(set)
-        for tool, indicators in doc_outputs.items():
-            for indicator in indicators:
-                found_by[indicator].add(tool)
-        for indicator, found in found_by.items():
-            supported = supported_by_type[indicator.type]
-            missed = supported - found
-            if len(found) > len(missed):
-                counters.positives[indicator.type] += 1
-                for tool in found:
-                    counters.cell(tool, indicator.type).tp += 1
-                for tool in missed:
-                    counters.cell(tool, indicator.type).fn += 1
-            elif len(missed) > len(found):
-                for tool in found:
-                    counters.cell(tool, indicator.type).fp += 1
-                for tool in missed:
-                    counters.cell(tool, indicator.type).tn += 1
-            # equal sizes: no majority, skip
+    for (ind_type, found_mask), count in votes.items():
+        found = tools(found_mask)
+        missed = tools(supported_mask[ind_type] & ~found_mask)
+        if len(found) > len(missed):
+            counters.positives[ind_type] += count
+            for tool in found:
+                counters.cell(tool, ind_type).tp += count
+            for tool in missed:
+                counters.cell(tool, ind_type).fn += count
+        elif len(missed) > len(found):
+            for tool in found:
+                counters.cell(tool, ind_type).fp += count
+            for tool in missed:
+                counters.cell(tool, ind_type).tn += count
+        # equal sizes: no majority, skip
     return counters
 
 

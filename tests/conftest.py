@@ -280,8 +280,9 @@ def brute_force_vote(profiles, outputs, docs):
 
 
 def random_vote_instance(rng: random.Random):
-    """A random small comparison: <=5 tools, <=10 docs, <=20 indicators/doc,
-    random supported-type sets, occasional crashes and off-profile reports."""
+    """A random small comparison: <=8 tools (as many as the paper compares),
+    <=10 docs, <=20 indicators/doc, random supported-type sets, occasional
+    crashes and off-profile reports."""
     from iockit.harness import ToolOutput, ToolProfile
     from iockit.types import Indicator
 
@@ -291,7 +292,7 @@ def random_vote_instance(rng: random.Random):
             f"t{i}",
             frozenset(rng.sample(type_pool, rng.randint(1, len(type_pool)))),
         )
-        for i in range(rng.randint(1, 5))
+        for i in range(rng.randint(1, 8))
     ]
     docs = [f"d{i}" for i in range(rng.randint(1, 10))]
     outputs = []

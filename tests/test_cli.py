@@ -778,6 +778,8 @@ class TestCompareCommand:
             ('"text"', "not a JSON object"),
             (json.dumps({"tool": "a", "doc_id": "d1"}), "missing key 'type'"),
             (json.dumps({"doc_id": "d1", "error": "crash"}), "missing key 'tool'"),
+            # A falsy error value makes an indicator line, which needs a type.
+            (json.dumps({"tool": "a", "doc_id": "d1", "error": ""}), "missing key 'type'"),
             (json.dumps({"tool": "a", "doc_id": 1, "type": "ip4", "value": "1.1.1.1"}),
              "'doc_id' is not a string"),
         ],
@@ -952,3 +954,217 @@ def test_output_lines_are_what_json_dumps_writes(doc_id, rows):
                     "start": m.start, "raw": m.raw}) + "\n"
         for m in matches
     ]
+
+
+def _reference_lines(data: bytes, path: str, keys: tuple[str, ...]):
+    """What the per-line reader that ``json.loads`` each line read from
+    ``data``: its records, its stderr lines and its malformed count."""
+    import io
+
+    from iockit.errors import UnknownTypeError
+    from iockit.normalize import normalize
+    from iockit.types import normalize_type_name
+
+    records, messages, types = [], [], {}
+
+    def parse(line: bytes):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError("not UTF-8") from None
+        if text.isspace():
+            return None
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"bad JSON: {exc.msg} at column {exc.colno}") from None
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        error = obj.get("error")
+        for key in keys if error else keys + ("type", "value"):
+            if not isinstance(obj.get(key), str):
+                if key not in obj:
+                    raise ValueError(f"missing key {key!r}")
+                raise ValueError(f"{key!r} is not a string")
+        tool, doc_id = obj.get("tool"), obj["doc_id"].lower()
+        if error:
+            return tool, doc_id, None
+        name = obj["type"]
+        if name not in types:
+            try:
+                types[name] = normalize_type_name(name)
+            except UnknownTypeError:
+                types[name] = None
+                messages.append(f"iockit: skipping unsupported indicator type {name!r}")
+        if types[name] is None:
+            return None
+        return tool, doc_id, Indicator(types[name], normalize(types[name], obj["value"]))
+
+    malformed = 0
+    # Lines end at b"\n" only, as a binary file's iteration ends them.
+    for line_no, line in enumerate(io.BytesIO(data), 1):
+        try:
+            record = parse(line)
+        except ValueError as exc:
+            messages.append(f"iockit: {path}:{line_no}: {exc}")
+            malformed += 1
+            continue
+        if record is not None:
+            records.append(record)
+    return records, messages, malformed
+
+
+_GOOD = {"tool": "a", "doc_id": "D1", "type": "ip4", "value": "1.1.1.1"}
+_READER_LINES = [
+    json.dumps(_GOOD),
+    # whitespace around the object, and line endings
+    "  \t" + json.dumps(_GOOD) + " \t ",
+    json.dumps(_GOOD) + "\r",
+    "\r" + json.dumps(_GOOD),
+    "\x0c" + json.dumps(_GOOD),
+    "\xa0" + json.dumps(_GOOD),
+    json.dumps(_GOOD) + "\xa0",
+    json.dumps(_GOOD) + "\x1c",
+    # lines blank to str.isspace, JSON whitespace or not
+    "", "   ", "\t\r", "\x1c", "\x85", "\xa0", "\u2028 \x0b",
+    # a byte order mark after line 1 (_BOM_DATA has one on line 1)
+    "\ufeff" + json.dumps(_GOOD),
+    # trailing data after the object
+    json.dumps(_GOOD) + " x",
+    json.dumps(_GOOD) + json.dumps(_GOOD),
+    json.dumps(_GOOD) + ",",
+    json.dumps(_GOOD) + "]",
+    json.dumps(_GOOD)[:-1],
+    "{bad", "{}", "[]",
+    # non-object JSON
+    "[1, 2]", '"text"', "42", "null", "true", "NaN", "-Infinity",
+    # NaN and Infinity values
+    '{"tool": "a", "doc_id": "d2", "type": "ip4", "value": NaN}',
+    '{"tool": "a", "doc_id": "d2", "type": "ip4", "value": "2.2.2.2", "n": Infinity}',
+    '{"tool": "a", "doc_id": "d2", "error": NaN}',
+    '{"tool": "a", "doc_id": "d2", "error": -Infinity, "type": 1}',
+    # duplicate keys: the last one counts
+    '{"tool": "a", "doc_id": "d3", "type": 7, "type": "fqdn", "value": "X.example.com"}',
+    '{"tool": "a", "doc_id": "d3", "type": "fqdn", "value": "x.example.com", "value": 7}',
+    '{"tool": "a", "doc_id": "d3", "error": "x", "error": ""}',
+    # nested values
+    '{"tool": "a", "doc_id": "d4", "type": "md5", "value": "' + "A" * 32 + '", '
+    '"extra": {"k": [1, {"m": null}, [[]]]}}',
+    '{"tool": "a", "doc_id": "d4", "type": "md5", "value": ["' + "a" * 32 + '"]}',
+    '{"tool": ["a"], "doc_id": "d4", "type": "md5", "value": "' + "a" * 32 + '"}',
+    '{"tool": "a", "doc_id": {"id": "d4"}, "error": "crash"}',
+    # \u escapes, surrogates included
+    '{"tool": "\\u0061", "doc_id": "\\u0044\\u0035", "type": "\\u0069p4", "value": "5.5.5.\\u0035"}',
+    '{"tool": "a", "doc_id": "d5", "type": "url", "value": "http://x.example/\\ud800\\udc00"}',
+    '{"tool": "a", "doc_id": "d5", "type": "url", "value": "example.com/\\udfff"}',
+    '{"tool": "a", "doc_id": "d5", "type": "url", "value": "a\\u0000b"}',
+    '{"tool": "a", "doc_id": "d5", "type": "url", "value": "a\tb"}',
+    # error lines: a truthy error needs no type or value, a falsy one does
+    '{"tool": "a", "doc_id": "D6", "error": "timeout"}',
+    '{"tool": "a", "doc_id": "d6", "error": 1}',
+    '{"tool": "a", "doc_id": "d6", "error": true, "type": 5, "value": null}',
+    '{"tool": "a", "doc_id": "d6", "error": [0]}',
+    '{"tool": "a", "doc_id": "d6", "error": {"x": 0}}',
+    '{"tool": "a", "doc_id": "d6", "error": ""}',
+    '{"tool": "a", "doc_id": "d6", "error": false}',
+    '{"tool": "a", "doc_id": "d6", "error": null}',
+    '{"tool": "a", "doc_id": "d6", "error": 0}',
+    '{"tool": "a", "doc_id": "d6", "error": 0.0}',
+    '{"tool": "a", "doc_id": "d6", "error": []}',
+    '{"tool": "a", "doc_id": "d6", "error": {}}',
+    '{"tool": "a", "doc_id": "d6", "error": "", "type": "asn", "value": "asn 13335"}',
+    '{"tool": "a", "doc_id": "d6", "error": false, "type": "cve", "value": "cve-2021-44228"}',
+    # lines without a tool, or with one that is not a string
+    '{"doc_id": "d7", "type": "ip4", "value": "7.7.7.7"}',
+    '{"tool": 7, "doc_id": "d7", "type": "ip4", "value": "7.7.7.7"}',
+    '{"doc_id": "d7", "error": "crash"}',
+    # unknown types: each is warned about once
+    '{"tool": "a", "doc_id": "d8", "type": "filename", "value": "a.exe"}',
+    '{"tool": "b", "doc_id": "d8", "type": "filename", "value": "b.exe"}',
+    '{"tool": "a", "doc_id": "d8", "type": "", "value": "x"}',
+    # the same indicator from another tool, under an alias and another case
+    '{"tool": "b", "doc_id": "d1", "type": "IPv4", "value": "1.1.1.1"}',
+    '{"tool": "b", "doc_id": "d4", "type": "md5", "value": "' + "a" * 32 + '"}',
+]
+# Then invalid UTF-8, alone and inside a value, and a last line with no newline.
+_READER_DATA = ("\n".join(_READER_LINES).encode() + b"\n\xff\xfe\n{\"doc_id\": \"\xc3\"}\n"
+                + "\u00e9".encode() + b"\n" + json.dumps(_GOOD).encode())
+_BOM_DATA = b"\xef\xbb\xbf" + (json.dumps(_GOOD) + "\r\n").encode() * 2
+
+
+@pytest.mark.parametrize("keys", [("doc_id",), ("tool", "doc_id")], ids=["filter", "compare"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("data", [_READER_DATA, _BOM_DATA], ids=["cases", "bom"])
+def test_reader_reads_what_json_loads_reads(tmp_path, capsys, monkeypatch, keys, stdin, data):
+    import io
+
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        path = "-"
+    else:
+        path = str(tmp_path / "lines.jsonl")
+        (tmp_path / "lines.jsonl").write_bytes(data)
+    reader = cli._IndicatorLines([path], keys, shared=len(keys) > 1)
+    records = list(reader)
+    err = capsys.readouterr().err
+    expected, messages, malformed = _reference_lines(data, path, keys)
+    assert records == expected
+    assert err.splitlines() == messages
+    assert reader.malformed == malformed
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_shared_reader_converts_each_pair_once(tmp_path, shared):
+    path = tmp_path / "lines.jsonl"
+    path.write_text("".join(
+        tool_line(tool, "d1", name, "1.1.1.1") + "\n"
+        for tool, name in (("a", "ip4"), ("b", "ip4"), ("a", "IPv4"))
+    ))
+    (_, _, first), (_, _, second), (_, _, alias) = cli._IndicatorLines(
+        [str(path)], ("tool", "doc_id"), shared=shared
+    )
+    assert first == second == alias == Indicator(T.IP4, "1.1.1.1")
+    # Only the same type name and value share one object.
+    assert (first is second) is shared
+    assert first is not alias
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_HOSTILE,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_HOSTILE, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    fields=st.lists(st.tuples(
+        st.sampled_from(["tool", "doc_id", "type", "value", "error", "x"]),
+        st.one_of(st.sampled_from(["a", "ip4", "MD5", "domain", "asn", "", "D"]), _JSON_VALUES),
+    ), max_size=6),
+    before=st.text(" \t\r\x0c\xa0\x85\x1c\ufeff", max_size=2),
+    after=st.text(" \t\r\x0c\xa0\x85\x1c,}]x", max_size=2),
+    escape=st.booleans(),
+)
+def test_reader_reads_random_lines_as_json_loads_does(fields, before, after, escape):
+    # The object's text, with whitespace or junk before and after it.
+    import contextlib
+    import io
+    import tempfile
+
+    body = "{" + ", ".join(
+        f"{json.dumps(key)}: {json.dumps(value, ensure_ascii=escape)}" for key, value in fields
+    ) + "}"
+    data = (before + body + after).encode("utf-8", "surrogatepass") + b"\n"
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "lines.jsonl")
+        with open(path, "wb") as stream:
+            stream.write(data)
+        for keys in (("doc_id",), ("tool", "doc_id")):
+            err = io.StringIO()
+            reader = cli._IndicatorLines([path], keys, shared=len(keys) > 1)
+            with contextlib.redirect_stderr(err):
+                records = list(reader)
+            expected, messages, malformed = _reference_lines(data, path, keys)
+            assert records == expected
+            assert err.getvalue().splitlines() == messages
+            assert reader.malformed == malformed

@@ -106,11 +106,14 @@ class TestVote:
                 outputs.append(output(f"t{i}", doc, *pairs))
         docs = ["d1", "d2", "d3"]
         base = compare(profiles, outputs, docs)
-        shuffled_outputs = outputs[::-1]
-        shuffled_docs = docs[::-1]
-        again = compare(profiles[::-1], shuffled_outputs, shuffled_docs)
-        assert dict(base.cells) == dict(again.cells)
-        assert base.positives == again.positives
+        # Each profile's bit in the vote's tool masks follows profile order.
+        for _ in range(5):
+            shuffled = [list(x) for x in (profiles, outputs, docs)]
+            for items in shuffled:
+                rng.shuffle(items)
+            again = compare(*shuffled)
+            assert dict(base.cells) == dict(again.cells)
+            assert base.positives == again.positives
 
     def test_monotone_sanity_agreeing_tool_never_hurts(self):
         profiles = [profile(name, T.IP4) for name in ("a", "b", "c")]
@@ -229,3 +232,5 @@ class TestOracleEquivalence:
             expected = {key: tuple(v) for key, v in expected_cells.items()}
             assert got == expected
             assert dict(counters.positives) == dict(expected_positives)
+            # No cell is created that no vote incremented.
+            assert all(any(counts) for counts in got.values())
