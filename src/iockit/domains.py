@@ -2,8 +2,9 @@
 
 Follows the publicsuffix.org matching algorithm (longest rule wins,
 ``*.`` wildcards, ``!`` exceptions, implicit ``*`` default) over the
-subset shipped in ``data/public_suffixes.dat``. Users can point at a
-full Public Suffix List file; the plain-suffix line format is the same.
+subset shipped in ``data/public_suffixes.dat``. That snapshot,
+``DEFAULT_RULES``, is the only table; to use a full Public Suffix List,
+replace the file (the line format is the same).
 """
 from __future__ import annotations
 
@@ -71,7 +72,5 @@ class SuffixRules:
 
 DEFAULT_RULES = SuffixRules.load(DATA / "public_suffixes.dat")
 
-
-def registrable_domain(host: str, rules: SuffixRules | None = None) -> str | None:
-    """Registrable domain of ``host`` under ``rules`` (default: pinned snapshot)."""
-    return (rules or DEFAULT_RULES).registrable_domain(host)
+#: The registrable domain of a host under the pinned snapshot.
+registrable_domain = DEFAULT_RULES.registrable_domain

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .domains import SuffixRules, registrable_domain
+from .domains import registrable_domain
 from .errors import MalformedLineError, read_lines
 from .types import Indicator, IndicatorType
 
@@ -64,9 +64,7 @@ def indicator_host(indicator: Indicator) -> str | None:
     return None
 
 
-def _domain_candidates(
-    indicator: Indicator, suffix_rules: SuffixRules | None
-) -> set[str]:
+def _domain_candidates(indicator: Indicator) -> set[str]:
     """Lookup keys for the domain rules: the www-stripped host plus its
     registrable (public-suffix aware) domain."""
     host = indicator_host(indicator)
@@ -74,7 +72,7 @@ def _domain_candidates(
         return set()
     stripped = host[4:] if host.startswith("www.") else host
     candidates = {stripped}
-    reg = registrable_domain(stripped, suffix_rules)
+    reg = registrable_domain(stripped)
     if reg:
         candidates.add(reg)
     return candidates
@@ -84,8 +82,7 @@ class CorpusStats:
     """Accumulates per-origin and per-corpus indicator counts, one document
     at a time."""
 
-    def __init__(self, suffix_rules: SuffixRules | None = None):
-        self.suffix_rules = suffix_rules
+    def __init__(self):
         self.origin_domains: set[str] = set()
         self.per_origin_doc_counts: Counter = Counter()
         self.doc_counts: Counter = Counter()
@@ -106,7 +103,7 @@ class CorpusStats:
         _, _, name = origin.partition(":")
         name = (name or origin).strip().lower()
         if "." in name:
-            reg = registrable_domain(name, self.suffix_rules)
+            reg = registrable_domain(name)
             if reg:
                 self.origin_domains.add(reg)
 
@@ -122,14 +119,12 @@ class CorpusStats:
 
 
 class DynamicBlocklist(NamedTuple):
-    """Compiled filter state; immutable and shared read-only by workers.
-    ``suffix_rules`` takes part in equality, by identity."""
+    """Compiled filter state; immutable and shared read-only by workers."""
 
     origin_domains: frozenset[str]
     frequent_per_origin: frozenset[tuple[IndicatorType, str]]
     popular_domains: frozenset[str]
     ubiquitous: frozenset[tuple[IndicatorType, str]]
-    suffix_rules: SuffixRules | None = None
 
 
 def load_tranco(path: str | Path) -> frozenset[str]:
@@ -170,7 +165,6 @@ def build_blocklist(
         frequent_per_origin=frequent,
         popular_domains=load_tranco(tranco_file),
         ubiquitous=stats.ubiquitous(doc_freq_threshold),
-        suffix_rules=stats.suffix_rules,
     )
 
 
@@ -181,7 +175,7 @@ def blocking_rule(indicator: Indicator, blocklist: DynamicBlocklist) -> str | No
     # the rule 2 and 4 sets can hold either.
     candidates: set[str] | None = None
     if indicator.type in _DOMAIN_RULE_TYPES:
-        candidates = _domain_candidates(indicator, blocklist.suffix_rules)
+        candidates = _domain_candidates(indicator)
         if candidates & blocklist.origin_domains:
             return "origin_domain"
     if indicator in blocklist.frequent_per_origin:

@@ -1,10 +1,13 @@
 """Per-type validation functions applied to rearmed candidate matches.
 
 Validation runs after rearming, so none of these functions need to know
-about defang transformations. Checksummed types (bitcoin, iban) do real
-arithmetic; lookup types (fqdn, url, email) consult the pinned TLD
-snapshot; everything else is structural. An IBAN's country BBAN
-expression is compiled the first time that country is checked.
+about defang transformations. A value must be ASCII. Checksummed types
+(bitcoin, iban) do real arithmetic; lookup types (fqdn, url, email) consult
+the TLD snapshot; cve, regkey, googleAdsense and googleAnalytics have no
+check beyond ASCII; md5, sha1, sha256, sha512, ethereum and monero have
+the shapes of their run bodies, ``patterns.RUN_BODIES``; everything else is
+structural. An IBAN's country BBAN expression is compiled the first time
+that country is checked.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import DATA, read_lines
+from .patterns import RUN_BODIES
 from .types import IndicatorType
 
 _T = IndicatorType
@@ -106,11 +110,6 @@ def _bban_pattern(country: str) -> re.Pattern[str] | None:
     parts = (f"{_SEGMENT_CLASS[kind]}{{{count}}}" for count, kind in _SEGMENT_RE.findall(structure))
     return re.compile("".join(parts) + r"\Z")
 
-
-IBAN_LENGTHS: dict[str, int] = {
-    cc: 4 + sum(int(count) for count, _ in _SEGMENT_RE.findall(structure))
-    for cc, structure in IBAN_STRUCTURES.items()
-}
 
 _IBAN_SHAPE = re.compile(r"[A-Z]{2}\d{2}[A-Z0-9]{11,30}\Z")
 #: Each IBAN character as the decimal digits of its base-36 value.
@@ -229,52 +228,46 @@ def is_valid_mac(value: str) -> bool:
 # ---------------------------------------------------------------------------
 # remaining structural checks
 
-_HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
 _SSDEEP_RE = re.compile(r"\d{1,18}:[A-Za-z0-9/+]+:[A-Za-z0-9/+]+\Z")
-_ETHEREUM_RE = re.compile(r"0x[0-9a-fA-F]{40}\Z")
-_MONERO_RE = re.compile(r"[48][1-9A-HJ-NP-Za-km-z]{94}\Z")
 _ONION_RE = re.compile(r"(?:[a-z2-7]{16}|[a-z2-7]{56})\.onion\Z")
 
-#: The validation function of every type, called with the rearmed value
-#: and the TLD snapshot.
-_VALIDATORS = {
-    _T.IP4: lambda v, tlds: is_valid_ip4(v),
-    _T.IP4CIDR: lambda v, tlds: is_valid_ip4cidr(v),
-    _T.IP6: lambda v, tlds: is_valid_ip6(v),
+#: The check of every type on a rearmed ASCII value; the checks of the
+#: lookup types also take the TLD snapshot. A run type without a checksum
+#: fullmatches its run body; str.isascii marks a type with no other check.
+_VALIDATORS: dict[IndicatorType, Callable[..., object]] = {
+    t: re.compile(body).fullmatch for t, body in RUN_BODIES.items()
+} | {
+    _T.IP4: is_valid_ip4,
+    _T.IP4CIDR: is_valid_ip4cidr,
+    _T.IP6: is_valid_ip6,
     _T.FQDN: is_valid_fqdn,
     _T.URL: is_valid_url,
     _T.EMAIL: is_valid_email,
-    _T.MD5: lambda v, tlds: len(v) == 32 and _HEX_RE.match(v),
-    _T.SHA1: lambda v, tlds: len(v) == 40 and _HEX_RE.match(v),
-    _T.SHA256: lambda v, tlds: len(v) == 64 and _HEX_RE.match(v),
-    _T.SHA512: lambda v, tlds: len(v) == 128 and _HEX_RE.match(v),
-    _T.SSDEEP: lambda v, tlds: _SSDEEP_RE.match(v),
-    _T.CVE: lambda v, tlds: True,
-    _T.ASN: lambda v, tlds: is_valid_asn(v),
-    _T.BITCOIN: lambda v, tlds: is_valid_bitcoin(v),
-    _T.ETHEREUM: lambda v, tlds: _ETHEREUM_RE.match(v),
-    _T.MONERO: lambda v, tlds: _MONERO_RE.match(v),
-    _T.ONION_ADDRESS: lambda v, tlds: _ONION_RE.match(v),
-    _T.IBAN: lambda v, tlds: is_valid_iban(v),
-    _T.MAC_ADDRESS: lambda v, tlds: is_valid_mac(v),
-    _T.REGKEY: lambda v, tlds: True,
-    _T.GOOGLE_ADSENSE: lambda v, tlds: True,
-    _T.GOOGLE_ANALYTICS: lambda v, tlds: True,
+    _T.SSDEEP: _SSDEEP_RE.match,
+    _T.CVE: str.isascii,
+    _T.ASN: is_valid_asn,
+    _T.BITCOIN: is_valid_bitcoin,
+    _T.ONION_ADDRESS: _ONION_RE.match,
+    _T.IBAN: is_valid_iban,
+    _T.MAC_ADDRESS: is_valid_mac,
+    _T.REGKEY: str.isascii,
+    _T.GOOGLE_ADSENSE: str.isascii,
+    _T.GOOGLE_ANALYTICS: str.isascii,
 }
+_LOOKUP_TYPES = frozenset({_T.FQDN, _T.URL, _T.EMAIL})
 
 
-def validator(
-    type: IndicatorType, tlds: frozenset[str] = DEFAULT_TLDS
-) -> Callable[[str], bool]:
+def validator(type: IndicatorType, tlds: frozenset[str] = DEFAULT_TLDS) -> Callable[[str], bool]:
     """The validation of ``type`` against ``tlds``: true iff a rearmed
-    candidate is ASCII and passes the type's validation function."""
+    candidate is ASCII and passes the type's check."""
     check = _VALIDATORS[type]
-    return lambda rearmed: rearmed.isascii() and bool(check(rearmed, tlds))
+    if check is str.isascii:
+        return check
+    if type in _LOOKUP_TYPES:
+        return lambda rearmed: rearmed.isascii() and check(rearmed, tlds)
+    return lambda rearmed: rearmed.isascii() and bool(check(rearmed))
 
 
-def validate(
-    type: IndicatorType, rearmed: str, tlds: frozenset[str] = DEFAULT_TLDS
-) -> bool:
-    """True iff the rearmed candidate is ASCII and passes the type's
-    validation function."""
+def validate(type: IndicatorType, rearmed: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
+    """True iff the rearmed candidate is ASCII and passes the type's check."""
     return validator(type, tlds)(rearmed)

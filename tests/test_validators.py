@@ -1,17 +1,27 @@
 import random
+import re
+from typing import Callable
 
 import pytest
 
+from iockit.patterns import RUN_LENGTHS
 from iockit.types import IndicatorType
 from iockit.validators import (
     _IBAN_SHAPE,
     _bban_pattern,
     DEFAULT_TLDS,
-    IBAN_LENGTHS,
+    IBAN_STRUCTURES,
     base58check_decode,
+    is_valid_asn,
     is_valid_bitcoin,
+    is_valid_email,
     is_valid_fqdn,
     is_valid_iban,
+    is_valid_ip4,
+    is_valid_ip4cidr,
+    is_valid_ip6,
+    is_valid_mac,
+    is_valid_url,
     load_tlds,
     validate,
 )
@@ -194,10 +204,110 @@ def test_generated_values_all_validate(forge):
 
 
 def test_iban_lengths_sane():
-    assert IBAN_LENGTHS["GB"] == 22
-    assert all(15 <= n <= 34 for n in IBAN_LENGTHS.values())
+    # Each registry layout's IBAN length (4 + its segments) is one the iban
+    # expression can match.
+    lengths = {
+        country: 4 + sum(map(int, re.findall(r"\d+", structure)))
+        for country, structure in IBAN_STRUCTURES.items()
+    }
+    assert lengths["GB"] == 22
+    assert all(n in RUN_LENGTHS[T.IBAN] for n in lengths.values()), lengths
 
 
 def test_default_tlds_loaded():
     assert "com" in DEFAULT_TLDS and "onion" not in DEFAULT_TLDS
     assert len(DEFAULT_TLDS) > 500
+
+
+# The validator table as written when each check took the TLD snapshot,
+# kept unchanged as the reference of test_validate_matches_reference_table.
+_HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
+_SSDEEP_RE = re.compile(r"\d{1,18}:[A-Za-z0-9/+]+:[A-Za-z0-9/+]+\Z")
+_ETHEREUM_RE = re.compile(r"0x[0-9a-fA-F]{40}\Z")
+_MONERO_RE = re.compile(r"[48][1-9A-HJ-NP-Za-km-z]{94}\Z")
+_ONION_RE = re.compile(r"(?:[a-z2-7]{16}|[a-z2-7]{56})\.onion\Z")
+
+_T = IndicatorType
+
+_VALIDATORS = {
+    _T.IP4: lambda v, tlds: is_valid_ip4(v),
+    _T.IP4CIDR: lambda v, tlds: is_valid_ip4cidr(v),
+    _T.IP6: lambda v, tlds: is_valid_ip6(v),
+    _T.FQDN: is_valid_fqdn,
+    _T.URL: is_valid_url,
+    _T.EMAIL: is_valid_email,
+    _T.MD5: lambda v, tlds: len(v) == 32 and _HEX_RE.match(v),
+    _T.SHA1: lambda v, tlds: len(v) == 40 and _HEX_RE.match(v),
+    _T.SHA256: lambda v, tlds: len(v) == 64 and _HEX_RE.match(v),
+    _T.SHA512: lambda v, tlds: len(v) == 128 and _HEX_RE.match(v),
+    _T.SSDEEP: lambda v, tlds: _SSDEEP_RE.match(v),
+    _T.CVE: lambda v, tlds: True,
+    _T.ASN: lambda v, tlds: is_valid_asn(v),
+    _T.BITCOIN: lambda v, tlds: is_valid_bitcoin(v),
+    _T.ETHEREUM: lambda v, tlds: _ETHEREUM_RE.match(v),
+    _T.MONERO: lambda v, tlds: _MONERO_RE.match(v),
+    _T.ONION_ADDRESS: lambda v, tlds: _ONION_RE.match(v),
+    _T.IBAN: lambda v, tlds: is_valid_iban(v),
+    _T.MAC_ADDRESS: lambda v, tlds: is_valid_mac(v),
+    _T.REGKEY: lambda v, tlds: True,
+    _T.GOOGLE_ADSENSE: lambda v, tlds: True,
+    _T.GOOGLE_ANALYTICS: lambda v, tlds: True,
+}
+
+
+def validator(
+    type: IndicatorType, tlds: frozenset[str] = DEFAULT_TLDS
+) -> Callable[[str], bool]:
+    """The validation of ``type`` against ``tlds``: true iff a rearmed
+    candidate is ASCII and passes the type's validation function."""
+    check = _VALIDATORS[type]
+    return lambda rearmed: rearmed.isascii() and bool(check(rearmed, tlds))
+
+
+#: Characters a mutation draws from: the structural ones of every type, and
+#: another script's digit, a fullwidth digit and a non-ASCII letter.
+_MUTATION_ALPHABETS = (
+    "0123456789abcdefxyzABCDEFXYZ",
+    ".:-/@_\\+x [] \u0668\uff12\u00e9",
+    "\u0668\uff12\u00e9",
+)
+
+
+def _mutated(rng, value):
+    """``value`` with one to three characters replaced, inserted or deleted."""
+    chars = list(value)
+    for _ in range(rng.randint(1, 3)):
+        alphabet = rng.choice(_MUTATION_ALPHABETS)
+        pos = rng.randrange(len(chars) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and pos < len(chars):
+            chars[pos] = rng.choice(alphabet)
+        elif edit == 1 and pos < len(chars):
+            del chars[pos]
+        else:
+            chars.insert(pos, rng.choice(alphabet))
+    return "".join(chars)
+
+
+def test_validate_matches_reference_table(forge, rng):
+    # Every type judges the generated values of every type, their case
+    # forms and their mutations exactly as the reference table does, under
+    # the default TLDs and a custom set.
+    values = {""}
+    for ind_type in IndicatorType:
+        for _ in range(25):
+            value = forge.value(ind_type)
+            values |= {value, value.upper(), value.lower()}
+            values.update(_mutated(rng, value) for _ in range(8))
+    values |= {"a.zz", "x.onion", "http://x.zz/", "u@x.zz", "CVE-2021-44228\u0668"}
+    custom = frozenset({"com", "net", "zz", "onion"})
+    accepted = rejected = 0
+    for tlds in (DEFAULT_TLDS, custom):
+        for ind_type in IndicatorType:
+            reference = validator(ind_type, tlds)
+            for value in values:
+                expected = reference(value)
+                assert validate(ind_type, value, tlds) is expected, (ind_type, value, tlds is custom)
+                accepted += expected
+                rejected += not expected
+    assert accepted > 2 * 25 * len(IndicatorType) and rejected > accepted
