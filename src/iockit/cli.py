@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import gc
 import io
 import json
 import math
@@ -397,12 +396,7 @@ def cmd_compare(args) -> int:
     directory = Path(args.outputs_dir)
     if not directory.is_dir():
         raise IockitError(f"{directory}: not a directory")
-    # The loaded records form no cycles for the collector to find.
-    gc.disable()
-    try:
-        outputs, malformed = _load_tool_outputs(directory)
-    finally:
-        gc.enable()
+    outputs, malformed = _load_tool_outputs(directory)
     profiles = _load_profiles(args.profiles)
     tools_seen = {o.tool for o in outputs}
     if len(tools_seen) < 2:

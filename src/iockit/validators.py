@@ -231,18 +231,16 @@ def is_valid_mac(value: str) -> bool:
 _SSDEEP_RE = re.compile(r"\d{1,18}:[A-Za-z0-9/+]+:[A-Za-z0-9/+]+\Z")
 _ONION_RE = re.compile(r"(?:[a-z2-7]{16}|[a-z2-7]{56})\.onion\Z")
 
-#: The check of every type on a rearmed ASCII value; the checks of the
-#: lookup types also take the TLD snapshot. A run type without a checksum
-#: fullmatches its run body; str.isascii marks a type with no other check.
-_VALIDATORS: dict[IndicatorType, Callable[..., object]] = {
-    t: re.compile(body).fullmatch for t, body in RUN_BODIES.items()
+#: The check of every type on a rearmed ASCII value, except the lookup
+#: types. A run type without a checksum fullmatches its run body; str.isascii
+#: marks a type with no other check.
+_VALIDATORS: dict[IndicatorType, Callable[[str], object]] = {
+    t: re.compile(RUN_BODIES[t]).fullmatch
+    for t in (_T.MD5, _T.SHA1, _T.SHA256, _T.SHA512, _T.ETHEREUM, _T.MONERO)
 } | {
     _T.IP4: is_valid_ip4,
     _T.IP4CIDR: is_valid_ip4cidr,
     _T.IP6: is_valid_ip6,
-    _T.FQDN: is_valid_fqdn,
-    _T.URL: is_valid_url,
-    _T.EMAIL: is_valid_email,
     _T.SSDEEP: _SSDEEP_RE.match,
     _T.CVE: str.isascii,
     _T.ASN: is_valid_asn,
@@ -254,17 +252,21 @@ _VALIDATORS: dict[IndicatorType, Callable[..., object]] = {
     _T.GOOGLE_ADSENSE: str.isascii,
     _T.GOOGLE_ANALYTICS: str.isascii,
 }
-_LOOKUP_TYPES = frozenset({_T.FQDN, _T.URL, _T.EMAIL})
+#: The checks that also consult the TLD snapshot.
+_LOOKUP_VALIDATORS: dict[IndicatorType, Callable[[str, frozenset[str]], bool]] = {
+    _T.FQDN: is_valid_fqdn,
+    _T.URL: is_valid_url,
+    _T.EMAIL: is_valid_email,
+}
 
 
 def validator(type: IndicatorType, tlds: frozenset[str] = DEFAULT_TLDS) -> Callable[[str], bool]:
     """The validation of ``type`` against ``tlds``: true iff a rearmed
     candidate is ASCII and passes the type's check."""
+    lookup = _LOOKUP_VALIDATORS.get(type)
+    if lookup is not None:
+        return lambda rearmed: rearmed.isascii() and lookup(rearmed, tlds)
     check = _VALIDATORS[type]
-    if check is str.isascii:
-        return check
-    if type in _LOOKUP_TYPES:
-        return lambda rearmed: rearmed.isascii() and check(rearmed, tlds)
     return lambda rearmed: rearmed.isascii() and bool(check(rearmed))
 
 

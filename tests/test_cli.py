@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import os
@@ -669,29 +668,6 @@ class TestCompareCommand:
             capsys, "compare", "--outputs-dir", str(out_dir), "--profiles", str(profiles)
         )
         assert code == 2 and "at least 2" in err
-
-    @pytest.mark.parametrize("tools, loader_fails, expected", [
-        ("ab", False, 0), ("a", False, 2), ("ab", True, 2),
-    ], ids=["ok", "one tool", "loader raises"])
-    def test_collector_enabled_after_run(
-        self, tmp_path, capsys, monkeypatch, tools, loader_fails, expected
-    ):
-        # The collector is off only while the outputs load, whatever the run's end.
-        out_dir = tmp_path / "outputs"
-        self.write_outputs(out_dir, {t: [tool_line(t, "d1", "ip4", "9.9.9.9")] for t in tools})
-        profiles = tmp_path / "profiles.json"
-        self.write_profiles(profiles, {t: ["ip4"] for t in tools})
-        if loader_fails:
-            def fail(directory):
-                assert not gc.isenabled()
-                raise cli.IockitError(f"{directory}: unreadable")
-            monkeypatch.setattr(cli, "_load_tool_outputs", fail)
-        assert gc.isenabled()
-        code, _, _ = run(
-            capsys, "compare", "--outputs-dir", str(out_dir), "--profiles", str(profiles)
-        )
-        assert code == expected
-        assert gc.isenabled()
 
     def test_missing_profile_exit_2(self, tmp_path, capsys):
         out_dir = tmp_path / "outputs"
