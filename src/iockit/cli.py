@@ -313,26 +313,20 @@ def cmd_filter(args) -> int:
     }
     blocklist = filtering.build_blocklist(stats, args.tranco, **thresholds)
 
+    # Counts by blocking rule; None counts the IOCs.
     rule_counts: Counter = Counter()
-    totals = Counter()
     generic_paths = [args.generic_out] if args.generic_out else []
     with _open_outputs(args.out, *generic_paths) as (ioc_out, *generic_out):
         for record in records:
             indicators = sorted(by_doc.get(record.doc_id, set()), key=Indicator.sort_key)
             for indicator, line in zip(indicators, _json_lines(record.doc_id, indicators)):
                 rule = filtering.blocking_rule(indicator, blocklist)
-                totals["total"] += 1
-                if rule is None:
-                    totals["iocs"] += 1
-                    ioc_out.write(line)
-                else:
-                    totals["generic"] += 1
-                    rule_counts[rule] += 1
-                    for stream in generic_out:
-                        stream.write(line)
-    summary = (
-        f"total={totals['total']} iocs={totals['iocs']} generic={totals['generic']} "
-        + " ".join(f"{name}={rule_counts[name]}" for name in filtering.RULE_NAMES)
+                rule_counts[rule] += 1
+                for stream in (ioc_out,) if rule is None else generic_out:
+                    stream.write(line)
+    total, iocs = rule_counts.total(), rule_counts[None]
+    summary = f"total={total} iocs={iocs} generic={total - iocs} " + " ".join(
+        f"{name}={rule_counts[name]}" for name in filtering.RULE_NAMES
     )
     print(summary, file=sys.stderr)
     return 1 if failed or reader.malformed else 0

@@ -66,7 +66,6 @@ def load_manifest(path: str | Path, strict: bool = True):
     path = Path(path)
     base = path.parent
     by_id: dict[str, DocumentRecord] = {}
-    order: list[str] = []
     errors: list[Exception] = []
 
     def fail(exc: Exception):
@@ -97,9 +96,8 @@ def load_manifest(path: str | Path, strict: bool = True):
             fail(MissingFileError(doc_path))
             continue
         by_id[doc_id] = DocumentRecord(doc_id, doc_path, (origin,), fmt)
-        order.append(doc_id)
 
-    records = [by_id[d] for d in order]
+    records = list(by_id.values())
     if strict:
         return records
     return records, errors

@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .domains import registrable_domain
 from .errors import MalformedLineError, read_lines
+from .normalize import URL_HOST, URL_SCHEME
 from .types import Indicator, IndicatorType
 
 _T = IndicatorType
@@ -38,7 +39,7 @@ PRIVATE_IPV4_NETWORKS: tuple[ipaddress.IPv4Network, ...] = (
 
 _DOMAIN_RULE_TYPES = frozenset({_T.FQDN, _T.URL, _T.EMAIL})
 _POPULARITY_RULE_TYPES = frozenset({_T.FQDN, _T.URL})
-_URL_HOST = re.compile(r"\A[A-Za-z][A-Za-z0-9+.-]*://(?:[^/?#@\s]*@)?(?P<host>\[[^\]]*\]|[^/?#:\s]*)")
+_URL_HOST = re.compile(rf"{URL_SCHEME}(?:[^/?#@\s]*@)?(?P<host>{URL_HOST})")
 
 RULE_NAMES = (
     "origin_domain",

@@ -15,10 +15,12 @@ import io
 import json
 from collections import Counter, defaultdict
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DuplicateOutputError, UnknownToolError
 from .types import Indicator, IndicatorType
+
+_VALUE = attrgetter("value")
 
 
 class ToolProfile(NamedTuple):
@@ -145,15 +147,10 @@ def compare(
     return counters
 
 
-def _ratio(numerator: int, denominator: int) -> float | None:
-    if denominator == 0:
-        return None
-    return numerator / denominator
-
-
 def _cell_metrics(counts: Counts) -> dict:
-    precision = _ratio(counts.tp, counts.tp + counts.fp)
-    recall = _ratio(counts.tp, counts.tp + counts.fn)
+    tp, fp, fn = counts.tp, counts.fp, counts.fn
+    precision = tp / (tp + fp) if tp + fp else None
+    recall = tp / (tp + fn) if tp + fn else None
     if precision is None or recall is None:
         f1 = None
     elif precision + recall == 0:
@@ -161,9 +158,9 @@ def _cell_metrics(counts: Counts) -> dict:
     else:
         f1 = 2 * precision * recall / (precision + recall)
     return {
-        "tp": counts.tp,
-        "fp": counts.fp,
-        "fn": counts.fn,
+        "tp": tp,
+        "fp": fp,
+        "fn": fn,
         "tn": counts.tn,
         "precision": precision,
         "recall": recall,
@@ -181,22 +178,19 @@ def metrics(
     tool's counters over the types it supports (all recorded types when no
     profiles are given).
     """
-    supported: Mapping[str, frozenset[IndicatorType]] = {}
-    if profiles is not None:
-        supported = {p.name: p.supported_types for p in profiles}
-    tools = sorted({tool for tool, _ in counters.cells} | set(supported))
+    supported = {p.name: p.supported_types for p in profiles or ()}
+    by_tool: dict[str, dict[IndicatorType, Counts]] = {tool: {} for tool in supported}
+    for (tool, ind_type), counts in counters.cells.items():
+        by_tool.setdefault(tool, {})[ind_type] = counts
     report: dict[str, dict] = {}
-    for tool in tools:
-        per_type = {}
+    for tool in sorted(by_tool):
+        cells = by_tool[tool]
         overall = Counts()
-        for (cell_tool, ind_type), counts in counters.cells.items():
-            if cell_tool != tool:
-                continue
-            per_type[ind_type.value] = _cell_metrics(counts)
+        for ind_type, counts in cells.items():
             if tool not in supported or ind_type in supported[tool]:
                 overall.add(counts)
         report[tool] = {
-            "types": dict(sorted(per_type.items())),
+            "types": {t.value: _cell_metrics(cells[t]) for t in sorted(cells, key=_VALUE)},
             "overall": _cell_metrics(overall),
         }
     return report
@@ -213,24 +207,15 @@ def build_report(
     from the report; at 2, single-tool types (where a majority vote is
     meaningless) disappear.
     """
-    support_count = {
-        t: sum(1 for p in profiles if p.supports(t)) for t in IndicatorType
-    }
-    visible = {t for t, n in support_count.items() if n >= min_tool_support}
-    filtered = AccuracyCounters()
-    for (tool, ind_type), counts in counters.cells.items():
-        if ind_type in visible:
-            filtered.cells[(tool, ind_type)].add(counts)
-    for ind_type, count in counters.positives.items():
-        if ind_type in visible:
-            filtered.positives[ind_type] = count
-    report = metrics(filtered, profiles)
+    visible = sorted(
+        (t for t in IndicatorType if sum(p.supports(t) for p in profiles) >= min_tool_support),
+        key=_VALUE,
+    )
+    shown = AccuracyCounters()
+    shown.cells.update(cell for cell in counters.cells.items() if cell[0][1] in visible)
     return {
-        "tools": report,
-        "type_counts": {
-            t.value: filtered.positives.get(t, 0)
-            for t in sorted(visible, key=lambda t: t.value)
-        },
+        "tools": metrics(shown, profiles),
+        "type_counts": {t.value: counters.positives.get(t, 0) for t in visible},
     }
 
 

@@ -13,7 +13,10 @@ LOWERCASED_TYPES = frozenset(
 )
 
 _ASN_VALUE = re.compile(r"(?i)\A(?:asn?)?\s?(\d{1,10})\Z")
-_URL_SCHEME = re.compile(r"\A[A-Za-z][A-Za-z0-9+.-]*://")
+#: URL syntax for validators and the filter: a scheme with its ``://``, a host.
+URL_SCHEME = "[A-Za-z][A-Za-z0-9+.-]*://"
+URL_HOST = r"(?:\[[^\]]*\]|[^/?#:\s]*)"
+_URL_SCHEME = re.compile(URL_SCHEME)
 _CVE_PREFIX = re.compile(r"(?i)\Acve-")
 
 

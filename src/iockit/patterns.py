@@ -1,5 +1,9 @@
 """Default regex catalog, one defang-broadened expression per indicator type.
 
+Each shape is spelled once, here: ``validators`` builds its checks on
+``HEX``, ``LABEL``, ``TLD``, ``B58_ALPHABET``, ``ONION_NAME``,
+``SSDEEP_CHAR`` and ``RUN_BODIES``. URL syntax is ``normalize``'s.
+
 Every expression follows the same discipline so matching stays linear on
 adversarial input under a backtracking engine:
 
@@ -98,21 +102,21 @@ _PLAIN_COLONS = _COLONS[:1]
 
 _LABEL_START = "[A-Za-z0-9_]"
 _LABEL_CHAR = "[A-Za-z0-9_-]"
-_LABEL = rf"{_LABEL_START}{_LABEL_CHAR}{{0,62}}+(?<!-)"
+LABEL = rf"{_LABEL_START}{_LABEL_CHAR}{{0,62}}+(?<!-)"
 #: What may not precede a match: the guards of fqdn and email.
 _FQDN_GUARD = r"[\w.\-\])]"
 _EMAIL_GUARD = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~.\-]"
 _LOCAL_CHAR = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~\-]"
 #: Most units (characters or dot forms) in an email local part.
 _LOCAL_UNITS = 64
-_TLD = r"(?:[A-Za-z]{2,63}|[Xx][Nn]--[A-Za-z0-9-]{1,59})"
-_HEX = "[0-9A-Fa-f]"
-# The hash types spell the same class lowercase first.
-_HASH_HEX = "[0-9a-fA-F]"
+TLD = r"(?:[A-Za-z]{2,63}|[Xx][Nn]--[A-Za-z0-9-]{1,59})"
+HEX = "[0-9A-Fa-f]"
 # An alphanumeric run's left guard, placed after its first character.
 _RUN_GUARD_L = r"(?<![A-Za-z0-9].)"
 _RUN_GUARD_R = r"(?![A-Za-z0-9])"
-_B58 = r"[1-9A-HJ-NP-Za-km-z]"
+#: The base58 digits in value order.
+B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+_B58 = f"[{B58_ALPHABET}]"
 # A URL path character: ASCII, but not whitespace or any of <>"'`. Spelled
 # as ranges, as a negated class excluding \x80-\U0010ffff takes ten times
 # longer to compile and matches slower.
@@ -122,11 +126,12 @@ _URL_PATH_CHAR = r"[\x00-\x08\x0e-\x1b!#-&(-;=?-_a-~\x7f]"
 _IP4_HEAD = r"\d(?<![\w.\])].)\d{0,2}"
 _IP4CIDR_HEAD = rf"{_IP4_HEAD}(?:\.\d{{1,3}}){{3}}"
 _SSDEEP_HEAD = r"\d(?<![A-Za-z0-9:/+].)\d{0,17}"
-_SSDEEP_CHAR = "[A-Za-z0-9/+]"
+SSDEEP_CHAR = "[A-Za-z0-9/+]"
 _CVE_HEAD = r"[Cc](?<![\w-].)(?i:VE)"
 _ANALYTICS_HEAD = r"[Uu](?<![\w-].)(?i:A)"
-_ONION_HEAD = r"(?<![A-Za-z0-9.\-])[a-z2-7]{16}(?:[a-z2-7]{40})?"
-_MAC_HEAD = rf"{_HEX}(?<![A-Za-z0-9:].){_HEX}"
+ONION_NAME = "[a-z2-7]{16}(?:[a-z2-7]{40})?"
+_ONION_HEAD = rf"(?<![A-Za-z0-9.\-]){ONION_NAME}"
+_MAC_HEAD = rf"{HEX}(?<![A-Za-z0-9:].){HEX}"
 _REGKEY_HIVE = (
     r"[Hh](?i:KEY_(?:LOCAL_MACHINE|CURRENT_USER|CLASSES_ROOT|USERS|"
     r"CURRENT_CONFIG|PERFORMANCE_DATA)|KLM|KCU|KCR|KU|KCC)"
@@ -137,12 +142,12 @@ _REGKEY_CHAR = r"[A-Za-z0-9_.\-{}()@~#$%^&+=!']"
 #: of the type's expression is a maximal run of [A-Za-z0-9] that is the
 #: pieces in order.
 _RUN_PIECES: dict[IndicatorType, tuple[tuple[str, int, int], ...]] = {
-    _T.MD5: ((_HASH_HEX, 32, 32),),
-    _T.SHA1: ((_HASH_HEX, 40, 40),),
-    _T.SHA256: ((_HASH_HEX, 64, 64),),
-    _T.SHA512: ((_HASH_HEX, 128, 128),),
+    _T.MD5: ((HEX, 32, 32),),
+    _T.SHA1: ((HEX, 40, 40),),
+    _T.SHA256: ((HEX, 64, 64),),
+    _T.SHA512: ((HEX, 128, 128),),
     _T.BITCOIN: (("[13]", 1, 1), (_B58, 25, 34)),
-    _T.ETHEREUM: (("0", 1, 1), ("x", 1, 1), (_HASH_HEX, 40, 40)),
+    _T.ETHEREUM: (("0", 1, 1), ("x", 1, 1), (HEX, 40, 40)),
     _T.MONERO: (("[48]", 1, 1), (_B58, 94, 94)),
     _T.IBAN: (("[A-Z]", 2, 2), ("[0-9]", 2, 2), ("[A-Z0-9]", 11, 30)),
 }
@@ -176,16 +181,16 @@ def _sources(
     dots: tuple[str, ...], ats: tuple[str, ...], scheme: str, colons: tuple[str, ...]
 ) -> dict[IndicatorType, str]:
     dot, at = _either(dots), _either(ats)
-    domain_body = rf"(?:{_LABEL}{dot}){{1,126}}{_TLD}"
+    domain_body = rf"(?:{LABEL}{dot}){{1,126}}{TLD}"
     local = rf"(?:{_LOCAL_CHAR}|{dot}){{1,{_LOCAL_UNITS}}}"
     host = rf"(?:[A-Za-z0-9_\-]{{1,63}}(?:{dot}[A-Za-z0-9_\-]{{1,63}}){{0,126}}|\[[0-9A-Fa-f:.]{{2,45}}\])"
     return {
         _T.IP4: rf"{_IP4_HEAD}(?:{dot}\d{{1,3}}){{3}}(?!\w)(?!{dot}\d)",
         _T.IP4CIDR: rf"{_IP4CIDR_HEAD}/\d{{1,2}}(?!\w)",
         _T.IP6: (
-            r"[0-9A-Fa-f:](?<![\w:.].)(?:(?<=:)|(?<=[0-9A-Fa-f])[0-9A-Fa-f]{0,3}:)"
-            r"(?:[0-9A-Fa-f]{0,4}:){1,6}"
-            r"(?:[0-9A-Fa-f]{1,4}|(?:\d{1,3}\.){3}\d{1,3})?(?![\w:])(?!\.\d)"
+            rf"[0-9A-Fa-f:](?<![\w:.].)(?:(?<=:)|(?<={HEX}){HEX}{{0,3}}:)"
+            rf"(?:{HEX}{{0,4}}:){{1,6}}"
+            rf"(?:{HEX}{{1,4}}|(?:\d{{1,3}}\.){{3}}\d{{1,3}})?(?![\w:])(?!\.\d)"
         ),
         _T.FQDN: rf"(?<!{_FQDN_GUARD}){domain_body}(?!\w)",
         _T.URL: (
@@ -197,14 +202,14 @@ def _sources(
         ),
         **{t: _run_expression(pieces) for t, pieces in _RUN_PIECES.items()},
         _T.SSDEEP: (
-            rf"{_SSDEEP_HEAD}:{_SSDEEP_CHAR}{{6,}}:{_SSDEEP_CHAR}{{6,}}"
+            rf"{_SSDEEP_HEAD}:{SSDEEP_CHAR}{{6,}}:{SSDEEP_CHAR}{{6,}}"
             r"(?![A-Za-z0-9:/+])"
         ),
         _T.CVE: rf"{_CVE_HEAD}-\d{{4}}-\d{{4,7}}(?![\w-])",
         _T.ASN: r"[Aa](?<![\w-].)(?i:SN?)\d{1,10}(?![\w-])",
         _T.ONION_ADDRESS: rf"{_ONION_HEAD}\.onion(?![A-Za-z0-9\-])",
         _T.MAC_ADDRESS: (
-            rf"{_MAC_HEAD}[:-](?:{_HEX}{{2}}[:-]){{4}}{_HEX}{{2}}(?![A-Za-z0-9:-])"
+            rf"{_MAC_HEAD}[:-](?:{HEX}{{2}}[:-]){{4}}{HEX}{{2}}(?![A-Za-z0-9:-])"
         ),
         _T.REGKEY: rf"{_REGKEY_HIVE}(?:\\{_REGKEY_CHAR}{{1,128}}){{1,64}}",
         _T.GOOGLE_ADSENSE: r"[CcPp](?<![\w-].)(?i:(?<=c)a-pub-|(?<=p)ub-)\d{16}(?![\w-])",
@@ -297,16 +302,16 @@ def _anchors(
         # between them; the anchor is the second. Only hex digits and a
         # colon come before the first pair's second colon, at most 9 in.
         _T.IP6: Anchor(
-            ":(?:" + "|".join(rf"(?<=:{_HEX}{{{n}}}.)" for n in range(5)) + ")",
+            ":(?:" + "|".join(rf"(?<=:{HEX}{{{n}}}.)" for n in range(5)) + ")",
             9,
-            rf"[0-9A-Fa-f:](?<![\w:.].)(?:{_HEX}{{0,3}}:)?{_HEX}{{0,4}}\Z",
+            rf"[0-9A-Fa-f:](?<![\w:.].)(?:{HEX}{{0,3}}:)?{HEX}{{0,4}}\Z",
         ),
         _T.URL: Anchor(
             _occurrences(("//",)),
             len("hxxps") + max(map(len, colons)),
             rf"[hf](?<![\w.\-@].){scheme}{_either(colons)}\Z",
         ),
-        _T.SSDEEP: Anchor(_occurrences((":",), f"{_SSDEEP_CHAR}{{6}}"), 18, rf"{_SSDEEP_HEAD}\Z"),
+        _T.SSDEEP: Anchor(_occurrences((":",), f"{SSDEEP_CHAR}{{6}}"), 18, rf"{_SSDEEP_HEAD}\Z"),
         _T.CVE: Anchor(_occurrences(("-",), r"\d{4}-\d"), 3, rf"{_CVE_HEAD}\Z"),
         _T.GOOGLE_ADSENSE: Anchor(
             _occurrences(("-",), r"\d{16}"),
@@ -316,7 +321,7 @@ def _anchors(
         _T.GOOGLE_ANALYTICS: Anchor(_occurrences(("-",), r"\d{4}"), 2, rf"{_ANALYTICS_HEAD}\Z"),
         _T.ONION_ADDRESS: Anchor(_occurrences((".onion",)), 56, rf"{_ONION_HEAD}\Z"),
         _T.MAC_ADDRESS: Anchor(
-            _occurrences((":", "-"), f"{_HEX}{{2}}[:-]"), 2, rf"{_MAC_HEAD}\Z"
+            _occurrences((":", "-"), f"{HEX}{{2}}[:-]"), 2, rf"{_MAC_HEAD}\Z"
         ),
         _T.REGKEY: Anchor(
             _occurrences(("\\",), _REGKEY_CHAR),

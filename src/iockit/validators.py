@@ -6,8 +6,10 @@ about defang transformations. A value must be ASCII. Checksummed types
 the TLD snapshot; cve, regkey, googleAdsense and googleAnalytics have no
 check beyond ASCII; md5, sha1, sha256, sha512, ethereum and monero have
 the shapes of their run bodies, ``patterns.RUN_BODIES``; everything else is
-structural. An IBAN's country BBAN expression is compiled the first time
-that country is checked.
+structural, on the shapes of ``patterns`` and ``normalize``. Two accept
+more than their expressions: IBAN check digits are ``\\d``, and ssdeep
+blocks have any length. An IBAN's country BBAN expression is compiled the
+first time that country is checked.
 """
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import DATA, read_lines
-from .patterns import RUN_BODIES
+from .normalize import URL_HOST, URL_SCHEME
+from .patterns import B58_ALPHABET, HEX, LABEL, ONION_NAME, RUN_BODIES, SSDEEP_CHAR, TLD
 from .types import IndicatorType
 
 _T = IndicatorType
@@ -36,8 +39,7 @@ DEFAULT_TLDS: frozenset[str] = load_tlds(DATA / "tlds.txt")
 # ---------------------------------------------------------------------------
 # base58check (bitcoin P2PKH / P2SH)
 
-_B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
+_B58_INDEX = {c: i for i, c in enumerate(B58_ALPHABET)}
 
 
 def base58check_decode(value: str) -> bytes | None:
@@ -134,8 +136,8 @@ def is_valid_iban(value: str) -> bool:
 # network types
 
 MAX_FQDN_LENGTH = 253
-_LABEL_RE = re.compile(r"[A-Za-z0-9_]([A-Za-z0-9_-]{0,61}[A-Za-z0-9_])?\Z")
-_TLD_RE = re.compile(r"(?:[A-Za-z]{2,63}|xn--[A-Za-z0-9-]{1,59})\Z", re.IGNORECASE)
+_LABEL_RE = re.compile(rf"{LABEL}\Z")
+_TLD_RE = re.compile(rf"{TLD}\Z")
 
 
 def is_valid_fqdn(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
@@ -156,14 +158,14 @@ def is_valid_ip4(value: str) -> bool:
     if len(parts) != 4:
         return False
     for part in parts:
-        if not part.isdigit() or len(part) > 3 or int(part) > 255:
+        if not part.isdecimal() or len(part) > 3 or int(part) > 255:
             return False
     return True
 
 
 def is_valid_ip4cidr(value: str) -> bool:
     address, _, prefix = value.partition("/")
-    if not prefix.isdigit() or int(prefix) > 32:
+    if not prefix.isdecimal() or int(prefix) > 32:
         return False
     return is_valid_ip4(address)
 
@@ -176,10 +178,7 @@ def is_valid_ip6(value: str) -> bool:
     return True
 
 
-_URL_SPLIT = re.compile(
-    r"(?P<scheme>[A-Za-z][A-Za-z0-9+.-]*)://(?P<host>\[[^\]]*\]|[^/?#:\s]*)"
-    r"(?::(?P<port>\d+))?(?:[/?#]|\Z)"
-)
+_URL_SPLIT = re.compile(rf"{URL_SCHEME}(?P<host>{URL_HOST})(?::(?P<port>\d+))?(?:[/?#]|\Z)")
 
 
 def is_valid_url(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
@@ -211,25 +210,22 @@ def is_valid_email(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
 
 def is_valid_asn(value: str) -> bool:
     digits = re.sub(r"(?i)\Aasn?", "", value)
-    return digits.isdigit() and int(digits) <= 0xFFFFFFFF
+    return digits.isdecimal() and int(digits) <= 0xFFFFFFFF
+
+
+_MAC_RE = re.compile(rf"{HEX}{{2}}([:-])(?:{HEX}{{2}}\1){{4}}{HEX}{{2}}\Z")
 
 
 def is_valid_mac(value: str) -> bool:
     """Six hex octets with one consistent separator (':' or '-')."""
-    sep = value[2] if len(value) > 2 else ""
-    if sep not in (":", "-"):
-        return False
-    parts = value.split(sep)
-    return len(parts) == 6 and all(
-        len(p) == 2 and all(c in "0123456789abcdefABCDEF" for c in p) for p in parts
-    )
+    return _MAC_RE.match(value) is not None
 
 
 # ---------------------------------------------------------------------------
 # remaining structural checks
 
-_SSDEEP_RE = re.compile(r"\d{1,18}:[A-Za-z0-9/+]+:[A-Za-z0-9/+]+\Z")
-_ONION_RE = re.compile(r"(?:[a-z2-7]{16}|[a-z2-7]{56})\.onion\Z")
+_SSDEEP_RE = re.compile(rf"\d{{1,18}}:{SSDEEP_CHAR}+:{SSDEEP_CHAR}+\Z")
+_ONION_RE = re.compile(rf"{ONION_NAME}\.onion\Z")
 
 #: The check of every type on a rearmed ASCII value, except the lookup
 #: types. A run type without a checksum fullmatches its run body; str.isascii

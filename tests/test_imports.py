@@ -1,5 +1,6 @@
 """What a cold start imports: each check runs in a fresh interpreter, started
 without ``site`` so that nothing but iockit decides what is loaded."""
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,28 @@ def test_package_import_loads_no_submodule():
         print(json.dumps([name for name in sys.modules if name.startswith("iockit.")]))
     """)
     assert loaded == []
+
+
+def test_filter_loads_no_extractor_module(tmp_path):
+    # The filter reads URL syntax from normalize, which every command loads.
+    (tmp_path / "a.txt").write_text("x")
+    doc_id = hashlib.sha256(b"x").hexdigest()
+    (tmp_path / "manifest.tsv").write_text(f"{doc_id}\ta.txt\trss:feed.example.com\ttext\n")
+    line = {"doc_id": doc_id, "type": "url", "value": "http://u@evil.example.com/x"}
+    (tmp_path / "found.jsonl").write_text(json.dumps(line) + "\n")
+    (tmp_path / "tranco.csv").write_text("1,example.org\n")
+    argv = ["filter", "--indicators", str(tmp_path / "found.jsonl"), "--manifest",
+            str(tmp_path / "manifest.tsv"), "--tranco", str(tmp_path / "tranco.csv"),
+            "--out", str(tmp_path / "iocs.jsonl")]
+    code, loaded = fresh(f"""
+        import json, sys
+        from iockit import cli
+        code = cli.main({argv!r})
+        print(json.dumps([code, sorted(sys.modules)]))
+    """)
+    assert code == 0 and "iockit.filtering" in loaded
+    extractor_modules = ("iockit.defang", "iockit.extractor", "iockit.patterns", "iockit.validators")
+    assert [name for name in extractor_modules if name in loaded] == []
 
 
 @pytest.mark.parametrize(

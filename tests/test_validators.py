@@ -4,8 +4,10 @@ from typing import Callable
 
 import pytest
 
+from iockit.filtering import indicator_host
+from iockit.normalize import normalize
 from iockit.patterns import RUN_LENGTHS
-from iockit.types import IndicatorType
+from iockit.types import Indicator, IndicatorType
 from iockit.validators import (
     _IBAN_SHAPE,
     _bban_pattern,
@@ -219,6 +221,82 @@ def test_default_tlds_loaded():
     assert len(DEFAULT_TLDS) > 500
 
 
+# The shapes as validators, filtering and normalize each spelled their own
+# before they shared the pieces of patterns and normalize, kept unchanged as
+# the reference of test_shared_shapes_match_frozen_spellings and of the
+# validator table below.
+_FROZEN_LABEL_RE = re.compile(r"[A-Za-z0-9_]([A-Za-z0-9_-]{0,61}[A-Za-z0-9_])?\Z")
+_FROZEN_TLD_RE = re.compile(r"(?:[A-Za-z]{2,63}|xn--[A-Za-z0-9-]{1,59})\Z", re.IGNORECASE)
+_FROZEN_URL_SPLIT = re.compile(
+    r"(?P<scheme>[A-Za-z][A-Za-z0-9+.-]*)://(?P<host>\[[^\]]*\]|[^/?#:\s]*)"
+    r"(?::(?P<port>\d+))?(?:[/?#]|\Z)"
+)
+_FROZEN_URL_HOST = re.compile(
+    r"\A[A-Za-z][A-Za-z0-9+.-]*://(?:[^/?#@\s]*@)?(?P<host>\[[^\]]*\]|[^/?#:\s]*)"
+)
+_FROZEN_URL_SCHEME = re.compile(r"\A[A-Za-z][A-Za-z0-9+.-]*://")
+
+
+def frozen_is_valid_fqdn(value, tlds=DEFAULT_TLDS):
+    if not value or len(value) > 253:
+        return False
+    labels = value.split(".")
+    if len(labels) < 2:
+        return False
+    if not all(_FROZEN_LABEL_RE.match(lbl) for lbl in labels[:-1]):
+        return False
+    tld = labels[-1]
+    return bool(_FROZEN_TLD_RE.match(tld)) and tld.lower() in tlds
+
+
+def frozen_is_valid_url(value, tlds=DEFAULT_TLDS):
+    m = _FROZEN_URL_SPLIT.match(value)
+    if not m:
+        return False
+    host = m.group("host")
+    port = m.group("port")
+    if port is not None and int(port) > 65535:
+        return False
+    if not host:
+        return False
+    if host.startswith("["):
+        return is_valid_ip6(host[1:-1])
+    if re.fullmatch(r"[\d.]+", host):
+        return is_valid_ip4(host)
+    return frozen_is_valid_fqdn(host, tlds)
+
+
+def frozen_is_valid_email(value, tlds=DEFAULT_TLDS):
+    local, sep, domain = value.rpartition("@")
+    if not sep or not local or len(local) > 64 or "@" in local:
+        return False
+    if local.startswith(".") or local.endswith(".") or ".." in local:
+        return False
+    return frozen_is_valid_fqdn(domain, tlds)
+
+
+def frozen_is_valid_mac(value):
+    sep = value[2] if len(value) > 2 else ""
+    if sep not in (":", "-"):
+        return False
+    parts = value.split(sep)
+    return len(parts) == 6 and all(
+        len(p) == 2 and all(c in "0123456789abcdefABCDEF" for c in p) for p in parts
+    )
+
+
+def frozen_url_host(value):
+    """filtering.indicator_host of a url indicator."""
+    m = _FROZEN_URL_HOST.match(value)
+    if m and m.group("host") and not m.group("host").startswith("["):
+        return m.group("host").lower().rstrip(".")
+    return None
+
+
+def frozen_normalize_url(value):
+    return value if _FROZEN_URL_SCHEME.match(value) else "http://" + value
+
+
 # The validator table as written when each check took the TLD snapshot,
 # kept unchanged as the reference of test_validate_matches_reference_table.
 _HEX_RE = re.compile(r"[0-9a-fA-F]*\Z")
@@ -233,9 +311,9 @@ _VALIDATORS = {
     _T.IP4: lambda v, tlds: is_valid_ip4(v),
     _T.IP4CIDR: lambda v, tlds: is_valid_ip4cidr(v),
     _T.IP6: lambda v, tlds: is_valid_ip6(v),
-    _T.FQDN: is_valid_fqdn,
-    _T.URL: is_valid_url,
-    _T.EMAIL: is_valid_email,
+    _T.FQDN: frozen_is_valid_fqdn,
+    _T.URL: frozen_is_valid_url,
+    _T.EMAIL: frozen_is_valid_email,
     _T.MD5: lambda v, tlds: len(v) == 32 and _HEX_RE.match(v),
     _T.SHA1: lambda v, tlds: len(v) == 40 and _HEX_RE.match(v),
     _T.SHA256: lambda v, tlds: len(v) == 64 and _HEX_RE.match(v),
@@ -248,7 +326,7 @@ _VALIDATORS = {
     _T.MONERO: lambda v, tlds: _MONERO_RE.match(v),
     _T.ONION_ADDRESS: lambda v, tlds: _ONION_RE.match(v),
     _T.IBAN: lambda v, tlds: is_valid_iban(v),
-    _T.MAC_ADDRESS: lambda v, tlds: is_valid_mac(v),
+    _T.MAC_ADDRESS: lambda v, tlds: frozen_is_valid_mac(v),
     _T.REGKEY: lambda v, tlds: True,
     _T.GOOGLE_ADSENSE: lambda v, tlds: True,
     _T.GOOGLE_ANALYTICS: lambda v, tlds: True,
@@ -311,3 +389,92 @@ def test_validate_matches_reference_table(forge, rng):
                 accepted += expected
                 rejected += not expected
     assert accepted > 2 * 25 * len(IndicatorType) and rejected > accepted
+
+
+#: ASCII characters a URL, domain or MAC mutation draws from: every
+#: separator of the three grammars, whitespace, and characters no class
+#: of theirs holds.
+_ASCII_MUTATIONS = "aZx09fF.-_:/?#@[]+% \t\n!"
+
+
+def _ascii_variants(rng, value):
+    """``value`` mutated, and as a URL with user information, an IP host or
+    another scheme."""
+    out = {value, value.upper(), value.lower()}
+    for _ in range(10):
+        chars = list(value)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(chars) + 1)
+            if pos < len(chars) and rng.random() < 0.5:
+                chars[pos] = rng.choice(_ASCII_MUTATIONS)
+            else:
+                chars.insert(pos, rng.choice(_ASCII_MUTATIONS))
+        out.add("".join(chars))
+    scheme, sep, rest = value.partition("://")
+    if sep:
+        out |= {f"{scheme}://u:p@{rest}", f"{scheme}://@{rest}", f"FTP+x.y-z://{rest}", f"1x://{rest}"}
+        out |= {f"{scheme}://1.2.3.4:8080/{rest}", f"{scheme}://[::1]/{rest}", f"{scheme}://[::1"}
+    return out
+
+
+def test_shared_shapes_match_frozen_spellings(forge, rng):
+    # On ASCII values the checks and host lookups built on the shared
+    # pieces judge as the spellings they replace did.
+    seeds = ["", "a.b", "x-.com", "-x.com", "_x.com", "a..com", "a.XN--P1AI", "a.Xn--p1ai",
+             "a" * 63 + ".com", "a" * 64 + ".com", "http://", "http:///x", "HTTP://[::1]:80",
+             "mailto:u@a.com", "http://a.com:99999", "00:11:22:33:44:55\n", "00:11:22:33:44:5"]
+    for ind_type in (T.FQDN, T.URL, T.EMAIL, T.MAC_ADDRESS, T.ONION_ADDRESS, T.SSDEEP):
+        seeds += [forge.value(ind_type) for _ in range(40)]
+    values = set().union(*(_ascii_variants(rng, seed) for seed in seeds if seed)) | set(seeds)
+    custom = frozenset({"com", "zz", "xn--p1ai"})
+    accepted = 0
+    for value in sorted(values):
+        assert value.isascii()
+        for tlds in (DEFAULT_TLDS, custom):
+            for check, frozen in (
+                (is_valid_fqdn, frozen_is_valid_fqdn),
+                (is_valid_url, frozen_is_valid_url),
+                (is_valid_email, frozen_is_valid_email),
+            ):
+                expected = frozen(value, tlds)
+                assert check(value, tlds) is expected, (check.__name__, value)
+                accepted += expected
+        assert is_valid_mac(value) is frozen_is_valid_mac(value), value
+        assert validate(T.ONION_ADDRESS, value) is bool(_ONION_RE.match(value)), value
+        assert validate(T.SSDEEP, value) is bool(_SSDEEP_RE.match(value)), value
+        assert indicator_host(Indicator(T.URL, value)) == frozen_url_host(value), value
+        assert normalize(T.URL, value) == frozen_normalize_url(value), value
+    assert accepted > len(seeds)
+
+
+def test_tld_check_holds_no_case_folded_letter():
+    # The TLD check was compiled case-insensitively, under which [A-Za-z]
+    # also matches the Kelvin sign (U+212A), and "\u212ay".lower() is the
+    # snapshot's "ky". No expression matches that name, and now neither
+    # does the check. validate() rejects it either way: it is not ASCII.
+    assert frozen_is_valid_fqdn("evil.\u212ay") is True
+    assert is_valid_fqdn("evil.\u212ay") is False
+    assert is_valid_fqdn("evil.ky") is True
+    assert validate(T.FQDN, "evil.\u212ay") is False
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [
+        (is_valid_ip4, "1.1.1.\u00b2"),
+        (is_valid_ip4cidr, "1.1.1.1/\u00b2"),
+        (is_valid_ip4cidr, "1.\u00b2.1.1/8"),
+        (is_valid_asn, "AS\u00b2"),
+    ],
+)
+def test_non_decimal_digit_rejected(check, value):
+    # '\u00b2' (superscript two) is a digit to str.isdigit but not to int.
+    assert check(value) is False
+
+
+def test_other_scripts_decimal_digits_accepted_by_direct_calls():
+    # int reads any decimal digit; validate() rejects non-ASCII first.
+    assert is_valid_ip4("1.1.1.\u0668") is True
+    assert is_valid_ip4cidr("1.1.1.1/\u0663\u0662") is True
+    assert is_valid_asn("AS\u0661\u0662") is True
+    assert validate(T.IP4, "1.1.1.\u0668") is False
