@@ -264,17 +264,17 @@ def cmd_extract(args) -> int:
     extractor = _build_extractor(args)
     records, failed = _load_manifest(args.manifest)
     with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
-        if args.jobs > 1:
+        # A pool starts all its workers at once: no more than there are documents.
+        jobs = min(args.jobs, len(records))
+        if jobs > 1:
             # Only a pool needs this module, and it is slow to import.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(
-                args.jobs, initializer=_worker_init, initargs=(extractor, args.raw)
-            )
+            pool = ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(extractor, args.raw))
             # A run that stops early (the reader closed stdout) runs no more documents.
             stack.callback(pool.shutdown, cancel_futures=True)
             # Batches of documents per task; map still yields in document order.
-            chunksize = max(1, len(records) // (8 * args.jobs))
+            chunksize = max(1, len(records) // (8 * jobs))
             results = pool.map(_extract_lines, records, chunksize=chunksize)
         else:
             _worker_init(extractor, args.raw)

@@ -86,7 +86,9 @@ def load_manifest(path: str | Path, strict: bool = True):
         if "\0" in rel_path:
             fail(MalformedLineError(path, line_no, "document path holds a NUL character"))
             continue
-        doc_path = (base / rel_path).resolve() if not Path(rel_path).is_absolute() else Path(rel_path)
+        # pathlib keeps an absolute path as it is; nothing is resolved, so
+        # messages name the path as the manifest gives it.
+        doc_path = base / rel_path
         if doc_id in by_id:
             existing = by_id[doc_id]
             if origin not in existing.origins:

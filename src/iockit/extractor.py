@@ -80,11 +80,10 @@ class Extractor:
     and validated unless ``validation`` is false. It is pickled as the
     arguments that build it.
 
-    Each type is one pass of the scan plan (see ``patterns``): a type with
-    an anchor is tried only near its anchors, two or more run types share
-    one pass over alphanumeric runs, and asn, or a run type held alone,
-    runs one plain ``finditer``. Results are those of one ``finditer`` pass
-    per type.
+    Each type is one pass of the scan plan (see ``patterns``): a run type
+    has its share of one pass over alphanumeric runs, and every other type
+    is tried only near its anchors. Results are those of one ``finditer``
+    pass per type.
     """
 
     def __init__(
@@ -101,9 +100,8 @@ class Extractor:
         self._validation = validation
         self._defanged = defanged
         anchors = ANCHORS[defanged]
-        # A lone run type is cheaper as a plain pass of its own expression.
-        shared_run = sum(t in RUN_BODIES for t in self._types) > 1
-        # (pattern, compiled anchor or None, kind) of each pass that runs on its own.
+        # The arguments of ``_anchored`` but the text, then the kind, of each
+        # anchored pass.
         passes = []
         # Run length -> (body fullmatch, kind) of each run type held that a
         # run of that length can be.
@@ -114,15 +112,16 @@ class Extractor:
                 t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
                 validator(t, self._tlds) if validation else None,
             )
-            if shared_run and t in RUN_BODIES:
+            if t in RUN_BODIES:
                 share = (re.compile(RUN_BODIES[t]).fullmatch, kind)
                 for n in RUN_LENGTHS[t]:
                     self._run_kinds[n] = (*self._run_kinds.get(n, ()), share)
                 continue
-            anchor = anchors.get(t)
-            if anchor is not None:
-                anchor = (re.compile(anchor.expression), anchor.reach, re.compile(anchor.start))
-            passes.append((re.compile(entry.expression), anchor, kind))
+            anchor = anchors[t]
+            passes.append((
+                re.compile(entry.expression), re.compile(anchor.expression), anchor.reach,
+                re.compile(anchor.start), kind,
+            ))
         self._passes = tuple(passes)
         self._run = re.compile(RUN) if self._run_kinds else None
 
@@ -206,13 +205,10 @@ class Extractor:
 
     def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[re.Match[str]]]]:
         """Each type's pass over ``text`` as its kind and its pattern
-        matches, in text order and non-overlapping: one anchored pass, one
-        ``finditer``, or the type's share of the run pass."""
-        for pattern, anchor, kind in self._passes:
-            if anchor is None:
-                yield kind, pattern.finditer(text)
-            else:
-                yield kind, _anchored(pattern, *anchor, text)
+        matches, in text order and non-overlapping: one anchored pass, or
+        the type's share of the run pass."""
+        for *scan, kind in self._passes:
+            yield kind, _anchored(*scan, text)
         if self._run is not None:
             run_kinds = self._run_kinds
             shares: dict[str, tuple[_Kind, list[re.Match[str]]]] = {}

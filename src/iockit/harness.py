@@ -1,12 +1,13 @@
 """Majority-vote accuracy comparison of indicator-extraction tools.
 
 For every document and every indicator reported by at least one tool, the
-tools that support the indicator's type are split into a found set and a
-missed set. The larger set is assumed correct: the found tools earn TPs
-and the missed tools FNs when found outnumbers missed, FPs and TNs when
-missed outnumbers found. Exact ties are skipped. A tool that crashed on a
-document contributes an empty found set and therefore lands in the missed
-set for every indicator of the types it supports.
+tools that reported it form the found set, whatever their profiles say,
+and the tools whose profiles support its type but did not report it form
+the missed set. The larger set is assumed correct: the found tools earn
+TPs and the missed tools FNs when found outnumbers missed, FPs and TNs
+when missed outnumbers found. Exact ties are skipped. A tool that crashed
+on a document contributes an empty found set and therefore lands in the
+missed set for every indicator of the types it supports.
 """
 from __future__ import annotations
 

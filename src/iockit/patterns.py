@@ -33,7 +33,7 @@ matches; the URL scheme and separator forms are written out here, as they
 combine with each other (``hxxps[:]//``).
 
 The extractor builds its scan plan from the tables below, keyed by type
-(``ANCHORS`` by variant first). Each type is one of three kinds of pass,
+(``ANCHORS`` by variant first). Each type is one of two kinds of pass,
 and every kind finds exactly the matches of one ``finditer`` per type:
 
 * anchored (``ANCHORS``): a type whose every match holds a literal (its
@@ -41,11 +41,12 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   is tried only near its anchors: an at-form after an email's local part,
   a dot form after an fqdn's first label or an ip4's first number, the
   ``-`` before the digits of cve, googleAnalytics and googleAdsense, the
-  first ``\\`` of a regkey, ``.onion``, the ``/`` of an ip4cidr, the ``//``
-  of a url, the first colon of an ssdeep, the first separator of a
-  macAddress and the second colon of an ip6. An anchor expression accepts
-  at least what its type's expression accepts there, with the same
-  Unicode classes (``\\d``), and is searched in the text itself: a lowered
+  S of an asn's ``AS`` or ``ASN``, the first ``\\`` of a regkey,
+  ``.onion``, the ``/`` of an ip4cidr, the ``//`` of a url, the first
+  colon of an ssdeep, the first separator of a macAddress and the second
+  colon of an ip6. An anchor expression accepts at least what its type's
+  expression accepts there, with the same Unicode classes (``\\d``, and
+  U+017F for ``(?i:s)``), and is searched in the text itself: a lowered
   copy can differ in length (``'İ'.lower()`` is two characters). It
   consumes only a form's first character and looks ahead for the rest, so
   ``finditer`` reports every anchor, overlapping ones too (``_at_at_``).
@@ -58,16 +59,9 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   linear however dense the anchors are.
 * run (``RUN_BODIES``): each match of md5, sha1, sha256, sha512, ethereum,
   bitcoin, monero and iban is one maximal run of ``[A-Za-z0-9]`` that the
-  type's body fullmatches. When the extractor holds two or more of them,
-  one ``RUN`` pass finds the runs, and each goes to every type held whose
-  body it fullmatches: a run can be both md5 and bitcoin, or both md5 and
-  iban. A run type held alone is a plain pass: its own expression costs
-  about what the ``RUN`` pass does, which enters the matcher at nearly
-  every word, and far less where its first character is rare (``0`` for
-  ethereum).
-* plain: asn, whose matches hold no literal cheaper to find than the
-  expression's own first letter, runs one ``finditer``; so does a run
-  type held alone.
+  type's body fullmatches. One ``RUN`` pass finds the runs, and each goes
+  to every run type held whose body it fullmatches: a run can be both md5
+  and bitcoin, or both md5 and iban.
 """
 from __future__ import annotations
 
@@ -313,6 +307,9 @@ def _anchors(
         ),
         _T.SSDEEP: Anchor(_occurrences((":",), f"{SSDEEP_CHAR}{{6}}"), 18, rf"{_SSDEEP_HEAD}\Z"),
         _T.CVE: Anchor(_occurrences(("-",), r"\d{4}-\d"), 3, rf"{_CVE_HEAD}\Z"),
+        # The S of AS or ASN, spelled as a class so that ``re`` can skip to
+        # it: U+017F is the one other code point that (?i:s) matches.
+        _T.ASN: Anchor(r"[Ss\u017f](?=[Nn]?\d)", 1, r"[Aa](?<![\w-].)\Z"),
         _T.GOOGLE_ADSENSE: Anchor(
             _occurrences(("-",), r"\d{16}"),
             len("ca-pub"),

@@ -278,6 +278,7 @@ ANCHOR_STRESSORS = {
     T.URL: ("/", "hxxps[:]//"),
     T.SSDEEP: ("1:aaaaaa:", "9" * 18 + ":aaaaaa "),
     T.CVE: ("-1234-1", "CVE-1234-1"),
+    T.ASN: ("s1", "aS1 "),
     T.GOOGLE_ANALYTICS: ("-1234", "UA-1234-"),
     T.GOOGLE_ADSENSE: ("-" + "1" * 16, "ca-pub-" + "1" * 16 + "-"),
     T.ONION_ADDRESS: (".onion", "a" * 56 + ".onion"),

@@ -115,6 +115,35 @@ class TestExtractCommand:
         )
         assert serial == parallel
 
+    def test_jobs_start_at_most_one_worker_per_document(self, corpus_dir, capsys, monkeypatch):
+        # A pool starts all its workers at once; this one only records how
+        # many it was asked for and maps in this process.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        manifest = corpus_dir / "manifest.tsv"
+        _, serial, _ = run(capsys, "extract", "--manifest", str(manifest))
+        assert run(capsys, "extract", "--manifest", str(manifest), "--jobs", "64")[:2] == (0, serial)
+        assert sizes == [3]
+        # One document runs serially.
+        first = corpus_dir / "first.tsv"
+        first.write_text(manifest.read_text().splitlines()[0] + "\n")
+        assert run(capsys, "extract", "--manifest", str(first), "--jobs", "64")[0] == 0
+        assert sizes == [3]
+
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "extract", "--manifest", str(tmp_path / "nope.tsv"))
         assert code == 2 and "missing file" in err
@@ -1168,3 +1197,72 @@ def test_reader_reads_random_lines_as_json_loads_does(fields, before, after, esc
             assert records == expected
             assert err.getvalue().splitlines() == messages
             assert reader.malformed == malformed
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, planted_corpus):
+    # Set and dict order must not leak into any output: each command runs in
+    # a fresh interpreter under two hash seeds, and every byte it writes,
+    # its exit code included, must be the same.
+    import subprocess
+    import sys
+
+    from iockit.errors import DATA
+
+    # Each document also names its origin's domain, a popular domain and a
+    # private address, so that the filter's rules fire.
+    texts = [
+        f"{text}\nfeed{i % 4}.example.com google.com 10.0.0.{i % 4}"
+        for i, text in enumerate(planted_corpus[:100])
+    ]
+    rows = [
+        add_doc(tmp_path, f"d{i}.txt", text, origin=f"rss:feed{i % 4}.example.com")
+        for i, text in enumerate(texts)
+    ]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(rows) + "\n")
+    # Three tools' outputs for compare, each tool one extractor.
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    extractors = {
+        "full": Extractor(), "plain": Extractor(defanged=False), "loose": Extractor(validation=False)
+    }
+    for tool, extractor in extractors.items():
+        with open(tools / f"{tool}.jsonl", "w", encoding="utf-8") as out:
+            for row, text in zip(rows, texts):
+                for ind in extractor.extract(text):
+                    line = {"tool": tool, "doc_id": row.split("\t")[0], "type": ind.type.value,
+                            "value": ind.value}
+                    out.write(json.dumps(line) + "\n")
+    names = [t.value for t in T]
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps({"full": names, "plain": names, "loose": names[::2]}))
+
+    def outputs(seed):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        commands = [
+            ["extract", "--manifest", str(manifest), "--out", str(out / "extract.jsonl")],
+            ["extract", "--manifest", str(manifest), "--raw"],
+            ["filter", "--indicators", str(out / "extract.jsonl"), "--manifest", str(manifest),
+             "--tranco", str(DATA / "tranco_snapshot.csv"), "--min-origin-docs", "5",
+             "--out", str(out / "iocs.jsonl"), "--generic-out", str(out / "generic.jsonl")],
+            ["compare", "--outputs-dir", str(tools), "--profiles", str(profiles),
+             "--csv", str(out / "table.csv")],
+        ]
+        runs = []
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "iockit.cli", *argv], capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            runs.append((done.returncode, done.stdout, done.stderr))
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return runs, files
+
+    first, second = outputs(0), outputs(1)
+    assert first == second
+    runs, files = first
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0]
+    assert [bool(stdout) for _, stdout, _ in runs] == [False, True, False, True]
+    assert all(files.values()) and files.keys() == {
+        "extract.jsonl", "iocs.jsonl", "generic.jsonl", "table.csv"}

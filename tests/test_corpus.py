@@ -67,6 +67,21 @@ class TestManifest:
         assert [(r.doc_id, r.origins) for r in records] == [(doc_id, ("rss:a",))]
         assert [type(e) for e in errors] == [MissingFileError]
 
+    def test_document_paths_are_joined_not_resolved(self, tmp_path):
+        # A manifest reached through a symlink names its documents through
+        # it too, ``..`` kept.
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+        doc_id, name = write_doc(tmp_path / "real", "doc.txt", "body")
+        manifest = tmp_path / "link" / "manifest.tsv"
+        manifest.write_text(
+            f"{doc_id}\t{name}\trss:a\ttext\n{'0' * 64}\tsub/../gone.txt\trss:b\ttext\n"
+        )
+        records, errors = load_manifest(manifest, strict=False)
+        assert [r.path for r in records] == [tmp_path / "link" / "doc.txt"]
+        missing = tmp_path / "link" / "sub" / ".." / "gone.txt"
+        assert [str(e) for e in errors] == [f"{missing}: missing file"]
+
     def test_malformed_line(self, tmp_path):
         (tmp_path / "manifest.tsv").write_text("only\ttwo fields\n")
         with pytest.raises(MalformedLineError) as err:

@@ -193,11 +193,6 @@ class TestCatalogLoading:
         assert shipped_pairs == built, "data/patterns.tsv differs from default_entries():\n" + (
             "\n".join(BUILT_IN_LINE[t] for t in differing)
         )
-        # Every type but asn has an anchor or a run body, never both, in
-        # both variants.
-        for defanged in (True, False):
-            assert not ANCHORS[defanged].keys() & RUN_BODIES.keys()
-            assert ANCHORS[defanged].keys() | RUN_BODIES.keys() == set(T) - {T.ASN}
 
     @pytest.mark.parametrize(
         "expression",
@@ -502,7 +497,7 @@ PLANNED = {
     ),
     "fqdn-twice": (lambda: Extractor([T.FQDN, T.FQDN]), True),
     # Run types whose bodies overlap (a run can be md5, bitcoin and iban at
-    # once), beside the one plain pass.
+    # once), beside an anchored pass.
     "runs+asn": (lambda: Extractor([T.MD5, T.BITCOIN, T.IBAN, T.ASN], validation=False), False),
 }
 
@@ -566,15 +561,15 @@ ANCHOR_EDGES = [
 
 @pytest.mark.parametrize("name", PLANNED)
 def test_run_pass_holds_every_run_type(name):
-    # One run pass whenever the extractor holds two or more run types,
-    # however many; every other type, and a run type held alone, is a pass
-    # of its own.
+    # One run pass whenever the extractor holds a run type, however many;
+    # every other type is an anchored pass of its own.
     extractor = PLANNED[name][0]()
     run_types = extractor.types & RUN_BODIES.keys()
-    shared = run_types if len(run_types) > 1 else set()
-    assert (extractor._run is not None) is bool(shared)
-    assert {kind.type for kinds in extractor._run_kinds.values() for _, kind in kinds} == shared
-    assert {kind.type for *_, kind in extractor._passes} == extractor.types - shared
+    assert (extractor._run is not None) is bool(run_types)
+    assert {kind.type for kinds in extractor._run_kinds.values() for _, kind in kinds} == run_types
+    anchors = ANCHORS[extractor._defanged]
+    passes = sorted((kind.name, anchor.pattern) for _, anchor, _, _, kind in extractor._passes)
+    assert passes == sorted((t.value, anchors[t].expression) for t in extractor.types - run_types)
 
 
 @pytest.mark.parametrize("name", PLANNED)
@@ -625,6 +620,7 @@ PLAN_SAMPLES = {
     T.ONION_ADDRESS: ("expyuzz4wqqyqhjn.onion",),
     T.MAC_ADDRESS: ("0a:1b:2c:3d:4e:5f", "0A-1B-2C-3D-4E-5F"),
     T.REGKEY: ("HKLM\\Run", "HKEY_CLASSES_ROOT\\x"),
+    T.ASN: ("AS13335", "asn64512"),
     T.MD5: ("d41d8cd98f00b204e9800998ecf8427e",),
     T.ETHEREUM: ("0x" + "ab" * 20,),
     T.BITCOIN: ("1BoatSLRHtKNngkdXEeobR76b53LETtpyT",),

@@ -71,6 +71,21 @@ class TestVote:
         assert ("c", T.IP4) not in counters.cells
         assert counters.cell("a", T.IP4).tp == 1
 
+    def test_reporting_tool_votes_whatever_its_profile(self):
+        # c's profile lacks ip4, yet its report of one is in the found set:
+        # it turns a tie into a majority, and its ip4 cell is reported per
+        # type but left out of its overall row.
+        profiles = [profile("a", T.IP4), profile("b", T.IP4), profile("c", T.FQDN)]
+        outputs = [output("a", "d1", IP), output("c", "d1", IP)]
+        counters = compare(profiles, outputs, ["d1"])
+        assert counters.cell("a", T.IP4) == Counts(tp=1)
+        assert counters.cell("c", T.IP4) == Counts(tp=1)
+        assert counters.cell("b", T.IP4) == Counts(fn=1)
+        assert compare(profiles, outputs[:1], ["d1"]).total_increments() == 0
+        report = build_report(counters, profiles)["tools"]["c"]
+        assert report["types"]["ip4"]["tp"] == 1
+        assert report["overall"]["tp"] == 0
+
     def test_crashed_tool_in_missed_for_all_indicators(self):
         profiles = [profile(name, T.IP4, T.FQDN) for name in ("a", "b", "c")]
         outputs = [

@@ -8,7 +8,7 @@ from re import _constants as sre, _parser
 
 from hypothesis import example, given, settings, strategies as st
 
-from iockit.patterns import RUN, default_entries
+from iockit.patterns import ANCHORS, RUN, RUN_BODIES, default_entries
 from iockit.types import IndicatorType
 
 from conftest import PLAN_SHAPED_PIECES
@@ -198,6 +198,14 @@ def test_no_expression_can_match_empty():
     for defanged in (True, False):
         for e in default_entries(defanged=defanged):
             assert _parser.parse(e.expression).getwidth()[0] > 0, (e.type, defanged)
+
+
+def test_every_type_is_anchored_or_run():
+    # The scan plan has two kinds of pass: each type, in both variants, has
+    # an anchor or a run body, never both.
+    for defanged in (True, False):
+        assert not ANCHORS[defanged].keys() & RUN_BODIES.keys(), defanged
+        assert ANCHORS[defanged].keys() | RUN_BODIES.keys() == set(T), defanged
 
 
 #: Each first-letter class and the case-insensitive letters it replaced.
