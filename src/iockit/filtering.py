@@ -8,6 +8,12 @@ An indicator is generic when at least one rule fires:
      snapshot (top-100k);
   4. present in more than ``doc_freq_threshold`` of all documents;
   5. a private/loopback/link-local IPv4 address.
+
+Rules 1 and 3 also compare a host's registrable domain, its public suffix
+plus one label; the suffix is the longest matching rule of the pinned
+snapshot ``data/public_suffixes.dat`` (``*.`` wildcards included, an ``!``
+exception counting one label shorter), else the last label, and to use the
+full Public Suffix List, replace that file, whose line format is the same.
 """
 from __future__ import annotations
 
@@ -18,8 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .domains import registrable_domain
-from .errors import MalformedLineError, read_lines
+from .errors import DATA, MalformedLineError, read_lines
 from .normalize import URL_HOST, URL_SCHEME
 from .types import Indicator, IndicatorType
 
@@ -48,6 +53,54 @@ RULE_NAMES = (
     "ubiquitous",
     "private_ip",
 )
+
+
+def _suffix_rules(path: str | Path) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """The plain, wildcard (without "*.") and exception (without "!") rules
+    of a public-suffix file: one rule per line; '//' and '#' comments
+    allowed."""
+    plain, wildcard, exception = set(), set(), set()
+    for _, line in read_lines(path):
+        line = line.strip().lower()
+        if line.startswith("//"):
+            continue
+        if line.startswith("!"):
+            exception.add(line[1:])
+        elif line.startswith("*."):
+            wildcard.add(line[2:])
+        else:
+            plain.add(line)
+    return frozenset(plain), frozenset(wildcard), frozenset(exception)
+
+
+_PLAIN_SUFFIXES, _WILDCARD_SUFFIXES, _EXCEPTION_SUFFIXES = _suffix_rules(
+    DATA / "public_suffixes.dat"
+)
+
+
+def registrable_domain(host: str) -> str | None:
+    """The registered (public suffix + 1 label) domain of ``host``, or None
+    when ``host`` is empty, has no dot or an empty label, or is itself a
+    public suffix."""
+    host = host.strip().strip(".").lower()
+    if not host or "." not in host:
+        return None
+    labels = host.split(".")
+    if any(not lbl for lbl in labels):
+        return None
+    suffix = 1  # labels in the public suffix; 1 is the implicit "*" rule
+    for take in range(1, len(labels) + 1):
+        candidate = ".".join(labels[-take:])
+        if candidate in _EXCEPTION_SUFFIXES:
+            # An exception rule makes the matched name registrable itself.
+            suffix = max(suffix, take - 1)
+        elif candidate in _PLAIN_SUFFIXES:
+            suffix = max(suffix, take)
+        elif take >= 2 and ".".join(labels[-take + 1 :]) in _WILDCARD_SUFFIXES:
+            suffix = max(suffix, take)
+    if suffix >= len(labels):
+        return None
+    return ".".join(labels[-(suffix + 1) :])
 
 
 def indicator_host(indicator: Indicator) -> str | None:
@@ -90,23 +143,19 @@ class CorpusStats:
         self.total_docs = 0
 
     def add_document(self, origins: Sequence[str], indicators: Iterable[Indicator]) -> None:
-        """Record one document's deduplicated indicators. Call once per doc."""
+        """Record one document's deduplicated indicators. Call once per doc.
+        Each origin is a monitored origin; a domain-shaped origin name (the
+        part after any ``kind:`` prefix) feeds rule 1."""
         unique = set(indicators)
         self.total_docs += 1
         for origin in origins:
-            self.add_origin(origin)
+            _, _, name = origin.partition(":")
+            name = (name or origin).strip().lower()
+            if reg := registrable_domain(name):
+                self.origin_domains.add(reg)
             for ind in unique:
                 self.per_origin_doc_counts[(origin, ind)] += 1
         self.doc_counts.update(unique)
-
-    def add_origin(self, origin: str) -> None:
-        """Register a monitored origin; domain-shaped origin names feed rule 1."""
-        _, _, name = origin.partition(":")
-        name = (name or origin).strip().lower()
-        if "." in name:
-            reg = registrable_domain(name)
-            if reg:
-                self.origin_domains.add(reg)
 
     def ubiquitous(self, threshold: float) -> frozenset[tuple[IndicatorType, str]]:
         """Rule 4: the indicators in strictly more than ``threshold`` of all

@@ -53,7 +53,8 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   For each anchor after the last match, the extractor tries the expression
   at the positions in the ``reach`` before it that no earlier window tried
   and where ``start`` holds: the guard, then only what a match can hold
-  before the anchor, so most windows try one position. The first hit is
+  before the anchor, so most windows try one position. Every ``start`` is
+  bounded, and ``reach`` is its longest match. The first hit is
   the match ``finditer`` would return, since a match starting earlier
   would hold an earlier anchor. Windows never overlap, so the scan stays
   linear however dense the anchors are.
@@ -283,12 +284,12 @@ def _anchors(
         _T.FQDN: Anchor(
             _occurrences(dots, _LABEL_START),
             63,
-            rf"{_LABEL_START}(?<!{_FQDN_GUARD}.){_LABEL_CHAR}*+\Z",
+            rf"{_LABEL_START}(?<!{_FQDN_GUARD}.){_LABEL_CHAR}{{0,62}}+\Z",
         ),
         _T.EMAIL: Anchor(
             _occurrences(ats),
             _LOCAL_UNITS * max(map(len, dots)),
-            rf"(?<!{_EMAIL_GUARD})(?:{_LOCAL_CHAR}|{_either(dots)})++\Z",
+            rf"(?<!{_EMAIL_GUARD})(?:{_LOCAL_CHAR}|{_either(dots)}){{1,{_LOCAL_UNITS}}}+\Z",
         ),
         _T.IP4: Anchor(_occurrences(dots, r"\d"), 3, rf"{_IP4_HEAD}\Z"),
         _T.IP4CIDR: Anchor(_occurrences(("/",), r"\d"), 15, rf"{_IP4CIDR_HEAD}\Z"),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -249,3 +250,78 @@ class TestOracleEquivalence:
             assert dict(counters.positives) == dict(expected_positives)
             # No cell is created that no vote incremented.
             assert all(any(counts) for counts in got.values())
+
+
+def _planted(kind, tag):
+    """A distinct value of ``kind`` for each ``tag`` pair."""
+    if kind is T.IP4:
+        return Indicator(kind, f"10.0.{tag[0]}.{tag[1]}")
+    if kind is T.FQDN:
+        return Indicator(kind, f"h{tag[0]}-{tag[1]}.example.com")
+    return Indicator(kind, hashlib.md5(repr(tag).encode()).hexdigest())
+
+
+def _f1(precision, recall):
+    return 2 * precision * recall / (precision + recall)
+
+
+class TestVoteAgainstPlantedTruth:
+    """The vote has no ground truth: it takes the majority of the tools that
+    support a type to be right. Tools with known error rates over planted
+    indicators show how close that comes to the truth, and where it fails."""
+
+    #: Tool -> (chance to miss each planted value, chance to add a value of
+    #: its own in each of 8 slots per document).
+    RATES = {
+        "a": (0.05, 0.02), "b": (0.15, 0.05), "c": (0.30, 0.10),
+        "d": (0.10, 0.20), "e": (0.20, 0.01),
+    }
+    KINDS = (T.IP4, T.FQDN, T.MD5)
+
+    def test_independent_errors_vote_ranks_and_estimates_true_scores(self):
+        rng = random.Random(0)
+        docs = [f"d{i}" for i in range(300)]
+        outputs, exact = [], {tool: [0, 0, 0] for tool in self.RATES}  # tp, fp, fn
+        for doc in docs:
+            kinds = rng.choices(self.KINDS, k=8)
+            planted = [_planted(kind, (0, slot)) for slot, kind in enumerate(kinds)]
+            for i, (tool, (miss, add)) in enumerate(self.RATES.items(), 1):
+                found = {ind for ind in planted if rng.random() >= miss}
+                own = {
+                    _planted(rng.choice(self.KINDS), (i, slot))
+                    for slot in range(8) if rng.random() < add
+                }
+                outputs.append(ToolOutput(tool, doc, frozenset(found | own)))
+                exact[tool][0] += len(found)
+                exact[tool][1] += len(own)
+                exact[tool][2] += len(planted) - len(found)
+        profiles = [profile(tool, *self.KINDS) for tool in self.RATES]
+        report = metrics(compare(profiles, outputs, docs), profiles)
+        true_f1 = {}
+        for tool, (tp, fp, fn) in exact.items():
+            precision, recall = tp / (tp + fp), tp / (tp + fn)
+            true_f1[tool] = _f1(precision, recall)
+            voted = report[tool]["overall"]
+            assert voted["precision"] == pytest.approx(precision, abs=0.03), tool
+            assert voted["recall"] == pytest.approx(recall, abs=0.03), tool
+            assert voted["f1"] == pytest.approx(true_f1[tool], abs=0.03), tool
+        by_vote = sorted(self.RATES, key=lambda tool: report[tool]["overall"]["f1"])
+        assert by_vote == sorted(self.RATES, key=true_f1.get)
+
+    def test_shared_errors_outvote_the_correct_tool(self):
+        # a and b report the same junk value beside the truth; c reports the
+        # truth only. Two of three is a majority, so the junk is "found".
+        profiles = [profile(tool, T.FQDN) for tool in "abc"]
+        docs = [f"d{i}" for i in range(20)]
+        outputs = []
+        for i, doc in enumerate(docs):
+            truth, junk = (T.FQDN, f"real{i}.example.com"), (T.FQDN, f"junk{i}.example.net")
+            outputs += [output("a", doc, truth, junk), output("b", doc, truth, junk)]
+            outputs.append(output("c", doc, truth))
+        report = metrics(compare(profiles, outputs, docs), profiles)
+        scores = {
+            tool: (cell["overall"]["precision"], cell["overall"]["recall"])
+            for tool, cell in report.items()
+        }
+        # The truth is (0.5, 1.0) for a and b and (1.0, 1.0) for c.
+        assert scores == {"a": (1.0, 1.0), "b": (1.0, 1.0), "c": (1.0, 0.5)}

@@ -208,6 +208,14 @@ def test_every_type_is_anchored_or_run():
         assert ANCHORS[defanged].keys() | RUN_BODIES.keys() == set(T), defanged
 
 
+def test_every_anchor_reach_is_the_longest_start():
+    # ``start`` spans a match's start to its anchor, and the window before
+    # an anchor is ``reach`` long: a shorter reach would lose matches.
+    for defanged in (True, False):
+        for t, anchor in ANCHORS[defanged].items():
+            assert anchor.reach == _parser.parse(anchor.start).getwidth()[1], (t, defanged)
+
+
 #: Each first-letter class and the case-insensitive letters it replaced.
 _LETTER_CLASSES = {
     "[Aa]": "(?i:a)",
