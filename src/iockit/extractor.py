@@ -9,7 +9,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .defang import REARMERS
 from .errors import DATA, MalformedLineError, read_lines
 from .normalize import normalize
-from .patterns import ANCHORS, RUN, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries
+from .patterns import (
+    ANCHORS, RUN, RUN_AT_START, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries,
+)
 from .types import Indicator, IndicatorType, RawMatch
 from .validators import DEFAULT_TLDS, load_tlds, validator
 
@@ -33,21 +35,21 @@ def _trim_trailing(raw: str) -> str:
 
 
 def _anchored(
-    pattern: re.Pattern[str], anchor: re.Pattern[str], reach: int, start: re.Pattern[str],
-    text: str,
-) -> Iterator[re.Match[str]]:
-    """``pattern.finditer(text)``, where every match holds an ``anchor``
-    match at most ``reach`` characters after its start, and ``start`` finds
-    where matches can begin before an anchor (see ``patterns.Anchor``).
+    pattern: re.Pattern[str], anchors: tuple[re.Pattern[str], ...], reach: int,
+    start: re.Pattern[str], text: str,
+) -> Iterator[tuple[int, str]]:
+    """``pattern.finditer(text)`` as ``(start, string)`` pairs, where every
+    match holds a match of one of ``anchors`` at most ``reach`` characters
+    after its start, and ``start`` finds where matches can begin before an
+    anchor (see ``patterns.Anchor``).
 
-    For each anchor after the last match, ``pattern`` is tried where
-    ``start`` matches in the ``reach`` before it that no earlier window
-    tried, in order; the first hit is the match ``finditer`` would return
-    next.
+    The anchors of all ``anchors`` are walked in text order. For each after
+    the last match, ``pattern`` is tried where ``start`` matches in the
+    ``reach`` before it that no earlier window tried, in order; the first
+    hit is the match ``finditer`` would return next.
     """
     pos = tried = 0
-    for found in anchor.finditer(text):
-        a = found.start()
+    for a in sorted([found.start() for anchor in anchors for found in anchor.finditer(text)]):
         if a <= pos:
             continue
         s = max(pos, a - reach, tried)
@@ -56,7 +58,7 @@ def _anchored(
             if m is None:
                 s = candidate.start() + 1
             else:
-                yield m
+                yield m.start(), m.group()
                 s = pos = m.end()
         tried = a
 
@@ -119,11 +121,11 @@ class Extractor:
                 continue
             anchor = anchors[t]
             passes.append((
-                re.compile(entry.expression), re.compile(anchor.expression), anchor.reach,
-                re.compile(anchor.start), kind,
+                re.compile(entry.expression), tuple(map(re.compile, anchor.expressions)),
+                anchor.reach, re.compile(anchor.start), kind,
             ))
         self._passes = tuple(passes)
-        self._run = re.compile(RUN) if self._run_kinds else None
+        self._run = (re.compile(RUN_AT_START), re.compile(RUN)) if self._run_kinds else None
 
     def __reduce__(self):
         # The kinds hold closures, which do not pickle.
@@ -193,30 +195,33 @@ class Extractor:
         for kind, matches in self._scan(text):
             trim, rearm, valid = kind.trim, kind.rearm, kind.valid
             accepted = []
-            for m in matches:
-                raw = m.group()
+            for start, raw in matches:
                 if trim and not (raw := _trim_trailing(raw)):
                     continue
                 rearmed = rearm(raw)
                 if valid is None or valid(rearmed):
-                    accepted.append((m.start(), raw, rearmed))
+                    accepted.append((start, raw, rearmed))
             if accepted:
                 yield kind, accepted
 
-    def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[re.Match[str]]]]:
+    def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[tuple[int, str]]]]:
         """Each type's pass over ``text`` as its kind and its pattern
-        matches, in text order and non-overlapping: one anchored pass, or
-        the type's share of the run pass."""
+        matches as ``(start, string)``, in text order and non-overlapping:
+        one anchored pass, or the type's share of the run pass."""
         for *scan, kind in self._passes:
             yield kind, _anchored(*scan, text)
         if self._run is not None:
+            at_start, run = self._run
             run_kinds = self._run_kinds
-            shares: dict[str, tuple[_Kind, list[re.Match[str]]]] = {}
-            for m in self._run.finditer(text):
-                run = m.group()
-                for fullmatch, kind in run_kinds.get(len(run), ()):
-                    if fullmatch(run):
-                        shares.setdefault(kind.name, (kind, []))[1].append(m)
+            shares: dict[str, tuple[_Kind, list[tuple[int, str]]]] = {}
+            runs: Iterable[re.Match[str]] = run.finditer(text)
+            if (first := at_start.match(text)) is not None:
+                runs = (first, *runs)
+            for m in runs:
+                found = m.group(1)
+                for fullmatch, kind in run_kinds.get(len(found), ()):
+                    if fullmatch(found):
+                        shares.setdefault(kind.name, (kind, []))[1].append((m.start(1), found))
             yield from shares.values()
 
 

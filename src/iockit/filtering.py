@@ -11,9 +11,10 @@ An indicator is generic when at least one rule fires:
 
 Rules 1 and 3 also compare a host's registrable domain, its public suffix
 plus one label; the suffix is the longest matching rule of the pinned
-snapshot ``data/public_suffixes.dat`` (``*.`` wildcards included, an ``!``
-exception counting one label shorter), else the last label, and to use the
-full Public Suffix List, replace that file, whose line format is the same.
+snapshot ``data/public_suffixes.dat`` (``*.`` wildcards included), else the
+last label, unless an ``!`` exception rule matches: the longest one prevails,
+counting one label shorter. To use the full Public Suffix List, replace that
+file, whose line format is the same.
 """
 from __future__ import annotations
 
@@ -89,15 +90,19 @@ def registrable_domain(host: str) -> str | None:
     if any(not lbl for lbl in labels):
         return None
     suffix = 1  # labels in the public suffix; 1 is the implicit "*" rule
+    exception = None
     for take in range(1, len(labels) + 1):
         candidate = ".".join(labels[-take:])
         if candidate in _EXCEPTION_SUFFIXES:
             # An exception rule makes the matched name registrable itself.
-            suffix = max(suffix, take - 1)
+            exception = take - 1
         elif candidate in _PLAIN_SUFFIXES:
-            suffix = max(suffix, take)
+            suffix = take
         elif take >= 2 and ".".join(labels[-take + 1 :]) in _WILDCARD_SUFFIXES:
-            suffix = max(suffix, take)
+            suffix = take
+    if exception is not None:
+        # The longest matching exception prevails over every other rule.
+        suffix = exception
     if suffix >= len(labels):
         return None
     return ".".join(labels[-(suffix + 1) :])

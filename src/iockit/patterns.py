@@ -11,8 +11,8 @@ adversarial input under a backtracking engine:
 * a cheap negative lookbehind on the character before a match guards its
   start, so interior positions of a long token fail in O(1);
 * alternations never overlap with their following element;
-* the first element is a character class, a literal, or an alternation of
-  literals, and the guard comes after it: ``C(?<!G.)R`` for ``(?<!G)CR``,
+* the first element is a character class or a literal, and the guard
+  comes after it: ``C(?<!G.)R`` for ``(?<!G)CR``,
   which is the same because ``C`` never matches a newline. The engine then
   tests each start position against ``C`` in C code instead of entering
   the matcher there, which it cannot do for an expression that starts with
@@ -47,9 +47,14 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   colon of an ip6. An anchor expression accepts at least what its type's
   expression accepts there, with the same Unicode classes (``\\d``, and
   U+017F for ``(?i:s)``), and is searched in the text itself: a lowered
-  copy can differ in length (``'İ'.lower()`` is two characters). It
-  consumes only a form's first character and looks ahead for the rest, so
-  ``finditer`` reports every anchor, overlapping ones too (``_at_at_``).
+  copy can differ in length (``'İ'.lower()`` is two characters). A type
+  has one anchor expression per first character of its forms, which starts
+  with that literal, consumes only it and looks ahead for the rest of each
+  form that starts with it (``\\[(?=\\.\\]X|dot\\]X)``), so the ``finditer``
+  passes together report every anchor, overlapping ones too (``_at_at_``),
+  and none twice; the extractor walks them in text order. ``re`` skips
+  ahead to a leading literal in C, where a leading alternation or class
+  would have it test every character.
   For each anchor after the last match, the extractor tries the expression
   at the positions in the ``reach`` before it that no earlier window tried
   and where ``start`` holds: the guard, then only what a match can hold
@@ -62,7 +67,9 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   bitcoin, monero and iban is one maximal run of ``[A-Za-z0-9]`` that the
   type's body fullmatches. One ``RUN`` pass finds the runs, and each goes
   to every run type held whose body it fullmatches: a run can be both md5
-  and bitcoin, or both md5 and iban.
+  and bitcoin, or both md5 and iban. ``RUN`` starts with the class of the
+  character before a run, where a leading guard would enter the matcher
+  at every position; ``RUN_AT_START`` finds a run that starts the text.
 """
 from __future__ import annotations
 
@@ -242,33 +249,42 @@ RUN_LENGTHS: dict[IndicatorType, range] = {
     for t, p in _RUN_PIECES.items()
 }
 
-#: The run pass: every maximal run of [A-Za-z0-9] as long as some run type's
-#: body. Its guard comes first: its class holds most of prose.
-RUN = (
-    rf"(?<![A-Za-z0-9])[A-Za-z0-9]{{{min(r.start for r in RUN_LENGTHS.values())},"
-    rf"{max(r.stop for r in RUN_LENGTHS.values()) - 1}}}+{_RUN_GUARD_R}"
+#: A run of [A-Za-z0-9] as long as some run type's body, as group 1, that
+#: ends a maximal run: searched at position 0 for a run that starts the text.
+RUN_AT_START = (
+    rf"([A-Za-z0-9]{{{min(r.start for r in RUN_LENGTHS.values())},"
+    rf"{max(r.stop for r in RUN_LENGTHS.values()) - 1}}}+){_RUN_GUARD_R}"
 )
+#: The run pass: every other maximal run of [A-Za-z0-9] as long as some run
+#: type's body, as group 1, entered at the character before it.
+RUN = rf"[^A-Za-z0-9]{RUN_AT_START}"
 
 
 class Anchor(NamedTuple):
     """Where the matches of an expression can start. Each match holds an
-    occurrence of ``expression`` (an anchor) that begins at least one and at
-    most ``reach`` characters after the match starts. ``start`` is searched
-    in the text cut at an anchor (``endpos``): it matches where every match
-    holding that anchor, or a later one, starts in the ``reach`` before it."""
+    occurrence of one of ``expressions`` (an anchor) that begins at least
+    one and at most ``reach`` characters after the match starts. Each of
+    ``expressions`` starts with its own literal, so no two report the same
+    position. ``start`` is searched in the text cut at an anchor
+    (``endpos``): it matches where every match holding that anchor, or a
+    later one, starts in the ``reach`` before it."""
 
-    expression: str
+    expressions: tuple[str, ...]
     reach: int
     start: str
 
 
-def _occurrences(forms: tuple[str, ...], then: str = "") -> str:
-    """An expression whose ``finditer`` reports where each of the literal
-    ``forms``, followed by ``then``, occurs, overlapping occurrences too: it
-    consumes a form's first character and looks ahead for the rest."""
-    return "|".join(
-        re.escape(form[0]) + (f"(?={re.escape(form[1:])}{then})" if form[1:] or then else "")
-        for form in forms
+def _occurrences(forms: tuple[str, ...], then: str = "") -> tuple[str, ...]:
+    """Expressions whose ``finditer`` passes together report where each of
+    the literal ``forms``, followed by ``then``, occurs, overlapping
+    occurrences too: one per distinct first character, which it consumes,
+    looking ahead for the rest of every form that starts with it."""
+    rests: dict[str, list[str]] = {}
+    for form in forms:
+        rests.setdefault(form[0], []).append(re.escape(form[1:]) + then)
+    return tuple(
+        re.escape(first) + (f"(?={'|'.join(after)})" if any(after) else "")
+        for first, after in rests.items()
     )
 
 
@@ -297,7 +313,7 @@ def _anchors(
         # between them; the anchor is the second. Only hex digits and a
         # colon come before the first pair's second colon, at most 9 in.
         _T.IP6: Anchor(
-            ":(?:" + "|".join(rf"(?<=:{HEX}{{{n}}}.)" for n in range(5)) + ")",
+            (":(?:" + "|".join(rf"(?<=:{HEX}{{{n}}}.)" for n in range(5)) + ")",),
             9,
             rf"[0-9A-Fa-f:](?<![\w:.].)(?:{HEX}{{0,3}}:)?{HEX}{{0,4}}\Z",
         ),
@@ -308,9 +324,9 @@ def _anchors(
         ),
         _T.SSDEEP: Anchor(_occurrences((":",), f"{SSDEEP_CHAR}{{6}}"), 18, rf"{_SSDEEP_HEAD}\Z"),
         _T.CVE: Anchor(_occurrences(("-",), r"\d{4}-\d"), 3, rf"{_CVE_HEAD}\Z"),
-        # The S of AS or ASN, spelled as a class so that ``re`` can skip to
-        # it: U+017F is the one other code point that (?i:s) matches.
-        _T.ASN: Anchor(r"[Ss\u017f](?=[Nn]?\d)", 1, r"[Aa](?<![\w-].)\Z"),
+        # The S of AS or ASN: U+017F is the one other code point that
+        # (?i:s) matches.
+        _T.ASN: Anchor(_occurrences(("S", "s", "\u017f"), r"[Nn]?\d"), 1, r"[Aa](?<![\w-].)\Z"),
         _T.GOOGLE_ADSENSE: Anchor(
             _occurrences(("-",), r"\d{16}"),
             len("ca-pub"),

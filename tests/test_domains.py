@@ -56,6 +56,17 @@ def test_custom_rules_and_file_loading(tmp_path, monkeypatch):
         _suffix_rules(tmp_path / "absent.dat")
 
 
+def test_exception_rule_prevails_over_a_rule_nested_under_it(tmp_path, monkeypatch):
+    # publicsuffix.org: a matching exception rule decides the suffix, even
+    # where a longer plain rule matches too.
+    path = tmp_path / "psl.dat"
+    path.write_text("b\nx.a.b\n*.b\n!a.b\n")
+    _use_rule_file(path, monkeypatch)
+    assert registrable_domain("y.x.a.b") == "a.b"
+    assert registrable_domain("x.a.b") == "a.b"
+    assert registrable_domain("y.c.b") == "y.c.b"
+
+
 def test_invalid_hosts_rejected():
     assert registrable_domain("a..b.com") is None
     assert registrable_domain(".") is None
@@ -120,10 +131,11 @@ def test_registrable_domain_matches_reference_on_every_shipped_rule():
 
 
 def test_registrable_domain_matches_reference_on_nested_rules(tmp_path, monkeypatch):
-    # The snapshot nests no plain rule in another; these do, so the
-    # longest matching rule must win.
+    # The snapshot nests no plain rule in another, nor any rule under an
+    # exception; these do, so the longest matching rule must win unless an
+    # exception matches.
     rules = [
-        "jp", "kawasaki.jp", "*.kawasaki.jp", "!city.kawasaki.jp",
+        "jp", "kawasaki.jp", "*.kawasaki.jp", "!city.kawasaki.jp", "www.city.kawasaki.jp",
         "uk", "co.uk", "ltd.co.uk", "*.sch.uk",
     ]
     path = tmp_path / "psl.dat"

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iockit.defang import rearm
+from iockit.defang import DEFAULT_RULES, rearm
 from iockit.errors import MalformedLineError, MissingFileError
 from iockit.extractor import (
     Extractor,
@@ -460,9 +460,9 @@ def reference_extract(extractor, text, validation=True):
 def scan_spans(extractor, text):
     """Every match of the planned scan, as sorted (type, start, string)."""
     return sorted(
-        (kind.name, m.start(), m.group())
+        (kind.name, start, string)
         for kind, matches in extractor._scan(text)
-        for m in matches
+        for start, string in matches
     )
 
 
@@ -556,6 +556,12 @@ ANCHOR_EDGES = [
     "AB12CCCCCCCCCCC " + "0" * 128 + " " + "0" * 129 + " 0x" + "ab" * 20,
     "1" + "abcdef123" * 3 + "abcd AB12" + "ABCDEF0123456789ABCDEF012345",
     "GB\u0668\u0662WEST12345698765432 d41d8cd98f00b204e9800998ecf8427e\u0661",
+    # Runs that start and end the text, that follow a non-ASCII letter or
+    # digit, and that follow each defanged separator form.
+    "d41d8cd98f00b204e9800998ecf8427e 0x" + "ab" * 20,
+    "\u00e9d41d8cd98f00b204e9800998ecf8427e \u0663" + "ab" * 20
+    + " \uff12GB82WEST12345698765432",
+    "".join(rule.pattern + "d41d8cd98f00b204e9800998ecf8427e" for rule in DEFAULT_RULES),
 ]
 
 
@@ -568,8 +574,11 @@ def test_run_pass_holds_every_run_type(name):
     assert (extractor._run is not None) is bool(run_types)
     assert {kind.type for kinds in extractor._run_kinds.values() for _, kind in kinds} == run_types
     anchors = ANCHORS[extractor._defanged]
-    passes = sorted((kind.name, anchor.pattern) for _, anchor, _, _, kind in extractor._passes)
-    assert passes == sorted((t.value, anchors[t].expression) for t in extractor.types - run_types)
+    passes = sorted(
+        (kind.name, tuple(anchor.pattern for anchor in compiled))
+        for _, compiled, _, _, kind in extractor._passes
+    )
+    assert passes == sorted((t.value, anchors[t].expressions) for t in extractor.types - run_types)
 
 
 @pytest.mark.parametrize("name", PLANNED)

@@ -8,7 +8,7 @@ from re import _constants as sre, _parser
 
 from hypothesis import example, given, settings, strategies as st
 
-from iockit.patterns import ANCHORS, RUN, RUN_BODIES, default_entries
+from iockit.patterns import _VARIANTS, ANCHORS, RUN, RUN_BODIES, default_entries
 from iockit.types import IndicatorType
 
 from conftest import PLAN_SHAPED_PIECES
@@ -214,6 +214,31 @@ def test_every_anchor_reach_is_the_longest_start():
     for defanged in (True, False):
         for t, anchor in ANCHORS[defanged].items():
             assert anchor.reach == _parser.parse(anchor.start).getwidth()[1], (t, defanged)
+
+
+def test_every_anchor_and_the_run_pass_start_with_a_literal_or_class():
+    # The engine skips ahead to a leading literal; a leading class or
+    # alternation has it test every character against a set, and a leading
+    # assertion enters the matcher at every position. So each anchor
+    # expression starts with its own literal, and the run pass with the
+    # class of the character before a run.
+    every_form = _VARIANTS[True][0] + _VARIANTS[True][1]
+    text = "".join(f" {form}1" for form in every_form)
+    for defanged, (dots, ats, _, _) in _VARIANTS.items():
+        for t, anchor in ANCHORS[defanged].items():
+            firsts = []
+            for expression in anchor.expressions:
+                op, first = _parser.parse(expression)[0]
+                assert op is sre.LITERAL, (t, defanged, expression)
+                firsts.append(first)
+            assert len(set(firsts)) == len(firsts), (t, defanged)
+        # Together the expressions find each dot or at form and nothing else.
+        for t, forms in ((T.FQDN, dots), (T.IP4, dots), (T.EMAIL, ats)):
+            found = sorted(
+                m.start() for e in ANCHORS[defanged][t].expressions for m in re.finditer(e, text)
+            )
+            assert found == sorted(text.index(f" {form}1") + 1 for form in forms), (t, defanged)
+    assert _parser.parse(RUN)[0][0] is sre.IN
 
 
 #: Each first-letter class and the case-insensitive letters it replaced.
