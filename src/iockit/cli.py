@@ -18,12 +18,13 @@ import contextlib
 import functools
 import io
 import json
+import marshal
 import math
 import os
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import corpus
 from .errors import (
@@ -209,23 +210,13 @@ def _build_extractor(args) -> Extractor:
     return Extractor(types, load_tlds(args.tld_file) if args.tld_file else DEFAULT_TLDS)
 
 
-#: The extractor and the --raw flag of this process's extract loop: set in
-#: each pool worker by the pool's initializer, or in this process when the
-#: run is serial.
-_WORKER: tuple[Extractor, bool] | None = None
-
-
-def _worker_init(extractor: Extractor, raw: bool) -> None:
-    global _WORKER
-    _WORKER = (extractor, raw)
-
-
-def _extract_lines(record: corpus.DocumentRecord) -> tuple[bool, str]:
+def _extract_lines(
+    extractor: Extractor, raw: bool, record: corpus.DocumentRecord
+) -> tuple[bool, str]:
     """One document from its bytes to its output lines: ``(True, output)``,
     or ``(False, message)`` for whatever error stopped it. The message, not
-    the exception, crosses back from a pool worker: HashMismatchError does
-    not survive pickling."""
-    extractor, raw = _WORKER
+    the exception, is returned, so that a forked worker sends back the same
+    pair through its pipe: marshal writes strings, not exceptions."""
     try:
         text = record.read_text()
         if record.format == "html":
@@ -239,6 +230,68 @@ def _extract_lines(record: corpus.DocumentRecord) -> tuple[bool, str]:
     except Exception as exc:
         # A fault on one document stops that document, not the run.
         return False, f"{record.doc_id}: {type(exc).__name__}: {exc}"
+
+
+def _forked(extract, records: list, jobs: int):
+    """Each result of ``map(extract, records)``, in order, from ``jobs``
+    processes: record i is extracted in process i mod ``jobs``, which is
+    this one for 0 and a forked child otherwise. A child writes each result
+    to its own pipe as soon as it is done, so it can run several records
+    ahead of this process. Closing the generator closes every pipe, which
+    stops a child at its next write, and then reaps every child. A child
+    that stops before its last record is IockitError."""
+    children: list[tuple[int, io.BufferedReader]] = []
+    stopped = None
+    try:
+        for first in range(1, jobs):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                unread = [read_end, *(stream.fileno() for _, stream in children)]
+                _work(extract, records[first::jobs], write_end, unread)
+            # A later child must not hold this write end, or this child's
+            # death would never read as the end of its pipe.
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        for index, record in enumerate(records):
+            if index % jobs == 0:
+                yield extract(record)
+                continue
+            pid, stream = children[index % jobs - 1]
+            try:
+                result = marshal.load(stream)
+            except EOFError:
+                stopped = pid
+                break
+            yield result
+    finally:
+        for _, stream in children:
+            stream.close()
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid, _ in children}
+    if stopped is not None:
+        code = os.waitstatus_to_exitcode(statuses[stopped])
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise IockitError(f"extract worker {stopped} stopped ({how})")
+
+
+def _work(extract, records: list, write_end: int, unread: list[int]) -> NoReturn:
+    """A forked child's whole run: ``extract`` each record and write the
+    result to ``write_end`` with marshal, flushed record by record. Every
+    path ends in ``os._exit``: the child never returns into its caller's
+    frames, and never flushes a buffer it inherited. It first closes the
+    read ends in ``unread``, its own pipe's and earlier children's, so that
+    when this process closes a pipe the child's next write fails."""
+    code = 1
+    try:
+        for fd in unread:
+            os.close(fd)
+        with open(write_end, "wb") as out:
+            for record in records:
+                marshal.dump(extract(record), out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 #: The C string escaper of ``json.dumps`` (``ensure_ascii``), quotes included.
@@ -263,22 +316,15 @@ def _json_lines(doc_id: str, found, raw: bool = False):
 def cmd_extract(args) -> int:
     extractor = _build_extractor(args)
     records, failed = _load_manifest(args.manifest)
+    extract = functools.partial(_extract_lines, extractor, args.raw)
     with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
-        # A pool starts all its workers at once: no more than there are documents.
+        # No more processes than documents: one document runs in this one.
         jobs = min(args.jobs, len(records))
-        if jobs > 1:
-            # Only a pool needs this module, and it is slow to import.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(extractor, args.raw))
-            # A run that stops early (the reader closed stdout) runs no more documents.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # Batches of documents per task; map still yields in document order.
-            chunksize = max(1, len(records) // (8 * jobs))
-            results = pool.map(_extract_lines, records, chunksize=chunksize)
+        if jobs > 1 and hasattr(os, "fork"):
+            # A run that stops early (the reader closed stdout) reaps its children.
+            results = stack.enter_context(contextlib.closing(_forked(extract, records, jobs)))
         else:
-            _worker_init(extractor, args.raw)
-            results = map(_extract_lines, records)
+            results = map(extract, records)
         for ok, text in results:
             if ok:
                 out.write(text)
@@ -448,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--raw", action="store_true", help="raw API: include offsets and raw values"
     )
     p_extract.add_argument("--out", help="output file (default: stdout)")
-    p_extract.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
+    p_extract.add_argument(
+        "--jobs", type=_positive_int, default=1, help="processes to extract in, this one included"
+    )
     p_extract.set_defaults(func=cmd_extract)
 
     p_filter = sub.add_parser("filter", help="split indicators into IOCs and generic")

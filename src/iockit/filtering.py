@@ -21,7 +21,6 @@ from __future__ import annotations
 import ipaddress
 import re
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -166,8 +165,13 @@ class CorpusStats:
         """Rule 4: the indicators in strictly more than ``threshold`` of all
         documents, compared exactly (as the decimal the threshold prints as)
         in integers."""
-        limit = Fraction(str(threshold))
-        denominator, bound = limit.denominator, limit.numerator * self.total_docs
+        # The printed decimal's digits over a power of ten: 0.9 is 9/10 and
+        # 1.5e+16 is 15 * 10**15 / 1.
+        mantissa, _, exponent = repr(threshold).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        scale = int(exponent or 0) - len(fraction)
+        denominator = 10 ** max(-scale, 0)
+        bound = int(whole + fraction) * 10 ** max(scale, 0) * self.total_docs
         return frozenset(
             key for key, count in self.doc_counts.items() if count * denominator > bound
         )

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +37,9 @@ def corpus_dir(tmp_path):
 
 def run(capsys, *argv):
     code = main(list(argv))
+    # No run leaves a child process behind, whatever its --jobs and its end.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -43,9 +48,20 @@ def jlines(text):
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
+def md5_corpus(directory, docs=20):
+    """A manifest of ``docs`` documents of 250 md5s each: about 20 KiB of
+    output per document, so that a few documents fill a 64 KiB pipe."""
+    rows = []
+    for doc in range(docs):
+        hashes = (hashlib.md5(f"{doc}.{i}".encode()).hexdigest() for i in range(250))
+        rows.append(add_doc(directory, f"{doc}.txt", " ".join(hashes)))
+    manifest = directory / "manifest.tsv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return manifest, rows
+
+
 class FailingExtractor(Extractor):
-    """An extractor that fails on every document holding "boom"; a pool
-    worker gets it by pickle, so it lives at module level."""
+    """An extractor that fails on every document holding "boom"."""
 
     def extract(self, text):
         if "boom" in text:
@@ -116,33 +132,72 @@ class TestExtractCommand:
         assert serial == parallel
 
     def test_jobs_start_at_most_one_worker_per_document(self, corpus_dir, capsys, monkeypatch):
-        # A pool starts all its workers at once; this one only records how
-        # many it was asked for and maps in this process.
-        sizes = []
+        # This process extracts a share itself: --jobs N forks N - 1
+        # children, and no more than there are other documents.
+        forks = []
+        fork = os.fork
 
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
+        def recording_fork():
+            forks.append(os.getpid())
+            return fork()
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        import concurrent.futures
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "fork", recording_fork)
         manifest = corpus_dir / "manifest.tsv"
         _, serial, _ = run(capsys, "extract", "--manifest", str(manifest))
         assert run(capsys, "extract", "--manifest", str(manifest), "--jobs", "64")[:2] == (0, serial)
-        assert sizes == [3]
-        # One document runs serially.
+        assert forks == [os.getpid()] * 2
+        # One document runs in this process.
         first = corpus_dir / "first.tsv"
         first.write_text(manifest.read_text().splitlines()[0] + "\n")
         assert run(capsys, "extract", "--manifest", str(first), "--jobs", "64")[0] == 0
-        assert sizes == [3]
+        assert len(forks) == 2
+
+    def test_jobs_run_serially_without_fork(self, corpus_dir, capsys, monkeypatch):
+        manifest = str(corpus_dir / "manifest.tsv")
+        serial = run(capsys, "extract", "--manifest", manifest)
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, "extract", "--manifest", manifest, "--jobs", "3") == serial
+        assert serial[0] == 0
+
+    def test_workers_ahead_by_more_than_a_pipe_give_the_serial_output(self, tmp_path, capsys):
+        # Each worker's output is several pipe buffers; it writes them while
+        # this process extracts its own share. A missing document and one
+        # whose hash does not match are reported in their places.
+        manifest, rows = md5_corpus(tmp_path)
+        (tmp_path / "7.txt").write_text("edited")
+        rows.insert(11, f"{'0' * 64}\tmissing.txt\trss:x\ttext")
+        manifest.write_text("\n".join(rows) + "\n")
+        serial = run(capsys, "extract", "--manifest", str(manifest))
+        assert serial[0] == 1 and len(serial[2].splitlines()) == 2
+        assert len(serial[1]) > 3 * 3 * (1 << 16)
+        assert run(capsys, "extract", "--manifest", str(manifest), "--jobs", "3") == serial
+
+    @pytest.mark.parametrize(
+        "stop, how",
+        [(lambda: os._exit(3), "exit status 3"),
+         (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}")],
+    )
+    def test_worker_that_stops_ends_the_run_at_its_document(
+        self, tmp_path, capsys, monkeypatch, stop, how
+    ):
+        manifest, rows = md5_corpus(tmp_path, docs=8)
+        before = tmp_path / "before.tsv"
+        before.write_text("\n".join(rows[:4]) + "\n")
+        _, serial_before, _ = run(capsys, "extract", "--manifest", str(before))
+        this = os.getpid()
+        extract_lines = cli._extract_lines
+
+        def stop_in_a_child(extractor, raw, record):
+            # Document 4 runs in the first child of --jobs 3.
+            if record.path.name == "4.txt" and os.getpid() != this:
+                stop()
+            return extract_lines(extractor, raw, record)
+
+        monkeypatch.setattr(cli, "_extract_lines", stop_in_a_child)
+        code, out, err = run(capsys, "extract", "--manifest", str(manifest), "--jobs", "3")
+        assert code == 2
+        assert re.fullmatch(rf"iockit: extract worker [1-9][0-9]* stopped \({how}\)\n", err)
+        assert out == serial_before
 
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "extract", "--manifest", str(tmp_path / "nope.tsv"))
@@ -204,9 +259,8 @@ class TestExtractCommand:
     def test_unreadable_doc_is_returned_not_raised(self, tmp_path):
         # A document that vanishes after the manifest loads must not stop
         # the map over the remaining documents, in a worker or in-process.
-        cli._worker_init(Extractor.default(), False)
         gone = corpus.DocumentRecord("0" * 64, tmp_path / "gone.txt", ("rss:x",), "text")
-        ok, message = cli._extract_lines(gone)
+        ok, message = cli._extract_lines(Extractor.default(), False, gone)
         assert not ok
         assert message.startswith(f"{'0' * 64}: [Errno 2] No such file or directory")
 
@@ -245,12 +299,7 @@ class TestExtractCommand:
         import subprocess
         import sys
 
-        rows = []
-        for doc in range(20):
-            hashes = (hashlib.md5(f"{doc}.{i}".encode()).hexdigest() for i in range(250))
-            rows.append(add_doc(tmp_path, f"{doc}.txt", " ".join(hashes)))
-        manifest = tmp_path / "manifest.tsv"
-        manifest.write_text("\n".join(rows) + "\n")
+        manifest, _ = md5_corpus(tmp_path)
         argv = [sys.executable, "-m", "iockit.cli", "extract", "--manifest", str(manifest)]
         with subprocess.Popen(
             argv + ["--jobs", jobs], stdout=subprocess.PIPE, stderr=subprocess.PIPE
@@ -304,12 +353,12 @@ class TestExtractCommand:
         extract_lines = cli._extract_lines
         arrived = []
 
-        def look_then_extract(record):
+        def look_then_extract(extractor, raw, record):
             try:
                 arrived.append(os.read(read_end, 1 << 16))
             except BlockingIOError:
                 arrived.append(b"")
-            return extract_lines(record)
+            return extract_lines(extractor, raw, record)
 
         monkeypatch.setattr(cli, "_extract_lines", look_then_extract)
         try:

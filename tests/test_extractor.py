@@ -265,8 +265,9 @@ class TestCatalogLoading:
         assert types_of(ex.extract_raw("1.2.3.4 a.com")) == [(T.IP4, "1.2.3.4")]
 
     def test_pickled_handle_extracts_the_same(self, tmp_path):
-        # `extract --jobs N` sends the built handle to workers, pickled
-        # under the spawn and forkserver start methods.
+        # A handle is pickled as the arguments that build it, as the class
+        # promises: a caller's own process pool can send it. The CLI's
+        # forked workers inherit theirs and pickle nothing.
         import pickle
 
         (tmp_path / "tlds.txt").write_text("test\n")

@@ -1,6 +1,10 @@
+import operator
+from collections import Counter
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iockit.errors import MalformedLineError, MissingFileError
 from iockit.filtering import (
@@ -219,6 +223,32 @@ class TestStatsMerge:
         stats.add_document(["rss:a"], [])
         assert stats.ubiquitous(0.49) == {(T.IP4, "1.1.1.1")}
         assert stats.ubiquitous(0.5) == frozenset()
+
+    @pytest.mark.parametrize("threshold", [
+        0.9, 0.0, 1.0, -0.5, 1e-05, 5e-324, 1.5e+16, 1.7976931348623157e+308,
+        0.30000000000000004, 2 / 3,
+    ])
+    def test_doc_frequency_is_the_printed_decimal(self, threshold):
+        self.check_doc_frequency(threshold)
+
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(operator.truediv, st.integers(0, 1000), st.integers(1, 1000)),
+    ))
+    def test_doc_frequency_of_any_float_is_the_printed_decimal(self, threshold):
+        self.check_doc_frequency(threshold)
+
+    @staticmethod
+    def check_doc_frequency(threshold):
+        # Rule 4 against the exact decimal the threshold prints as, on every
+        # document count up to each corpus size.
+        limit = Fraction(str(threshold))
+        for total in (0, 1, 2, 3, 7, 10, 100, 999, 1000):
+            stats = CorpusStats()
+            stats.total_docs = total
+            stats.doc_counts = Counter({count: count for count in range(total + 1)})
+            expected = {count for count in range(total + 1) if count > limit * total}
+            assert stats.ubiquitous(threshold) == expected
 
     def test_counter_bounds(self, rng, forge):
         stats = CorpusStats()

@@ -52,26 +52,60 @@ def test_package_import_loads_no_submodule():
     assert loaded == []
 
 
-def test_filter_loads_no_extractor_module(tmp_path):
-    # The filter reads URL syntax from normalize, which every command loads.
-    (tmp_path / "a.txt").write_text("x")
-    doc_id = hashlib.sha256(b"x").hexdigest()
-    (tmp_path / "manifest.tsv").write_text(f"{doc_id}\ta.txt\trss:feed.example.com\ttext\n")
-    line = {"doc_id": doc_id, "type": "url", "value": "http://u@evil.example.com/x"}
-    (tmp_path / "found.jsonl").write_text(json.dumps(line) + "\n")
-    (tmp_path / "tranco.csv").write_text("1,example.org\n")
-    argv = ["filter", "--indicators", str(tmp_path / "found.jsonl"), "--manifest",
-            str(tmp_path / "manifest.tsv"), "--tranco", str(tmp_path / "tranco.csv"),
-            "--out", str(tmp_path / "iocs.jsonl")]
+def run_fresh(argv):
+    """The exit code of ``cli.main(argv)`` in a fresh interpreter, and the
+    modules it loaded that a bare interpreter does not hold."""
+    bare = fresh("""
+        import json, sys
+        print(json.dumps(sorted(sys.modules)))
+    """)
     code, loaded = fresh(f"""
         import json, sys
         from iockit import cli
         code = cli.main({argv!r})
         print(json.dumps([code, sorted(sys.modules)]))
     """)
+    return code, set(loaded) - set(bare)
+
+
+@pytest.fixture
+def one_doc(tmp_path):
+    """A manifest of one URL document, its indicator line and a popularity file."""
+    (tmp_path / "a.txt").write_text("c2 198.51.100.7 at http://u@evil.example.com/x")
+    doc_id = hashlib.sha256((tmp_path / "a.txt").read_bytes()).hexdigest()
+    (tmp_path / "manifest.tsv").write_text(f"{doc_id}\ta.txt\trss:feed.example.com\ttext\n")
+    line = {"doc_id": doc_id, "type": "url", "value": "http://u@evil.example.com/x"}
+    (tmp_path / "found.jsonl").write_text(json.dumps(line) + "\n")
+    (tmp_path / "tranco.csv").write_text("1,example.org\n")
+    return tmp_path
+
+
+def test_filter_loads_no_extractor_module(one_doc):
+    # The filter reads URL syntax from normalize, which every command loads.
+    # It compares document frequencies in integers, without fractions.
+    argv = ["filter", "--indicators", str(one_doc / "found.jsonl"), "--manifest",
+            str(one_doc / "manifest.tsv"), "--tranco", str(one_doc / "tranco.csv"),
+            "--out", str(one_doc / "iocs.jsonl")]
+    code, loaded = run_fresh(argv)
     assert code == 0 and "iockit.filtering" in loaded
-    extractor_modules = ("iockit.defang", "iockit.extractor", "iockit.patterns", "iockit.validators")
-    assert [name for name in extractor_modules if name in loaded] == []
+    not_run = ("iockit.defang", "iockit.extractor", "iockit.patterns", "iockit.validators",
+               "fractions", "decimal")
+    assert [name for name in not_run if name in loaded] == []
+
+
+def test_parallel_extract_loads_no_process_pool(one_doc):
+    # --jobs forks its own workers.
+    (one_doc / "b.txt").write_text("c2 198.51.100.7 again")
+    doc_id = hashlib.sha256((one_doc / "b.txt").read_bytes()).hexdigest()
+    manifest = one_doc / "manifest.tsv"
+    with manifest.open("a") as fh:
+        fh.write(f"{doc_id}\tb.txt\trss:feed.example.com\ttext\n")
+    argv = ["extract", "--manifest", str(manifest), "--jobs", "2",
+            "--out", str(one_doc / "out.jsonl")]
+    code, loaded = run_fresh(argv)
+    assert code == 0 and "iockit.extractor" in loaded
+    assert (one_doc / "out.jsonl").read_text().count('"198.51.100.7"') == 2
+    assert [name for name in loaded if name.startswith(("concurrent", "multiprocessing"))] == []
 
 
 @pytest.mark.parametrize(
