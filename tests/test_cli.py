@@ -35,8 +35,19 @@ def corpus_dir(tmp_path):
     return tmp_path
 
 
+def _timed_out(signum, frame):
+    raise TimeoutError("the run took over 60 s")
+
+
 def run(capsys, *argv):
-    code = main(list(argv))
+    # A run that waits on a lost worker fails (as exit 2) instead of hanging.
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(60)
+    try:
+        code = main(list(argv))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     # No run leaves a child process behind, whatever its --jobs and its end.
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
