@@ -306,11 +306,11 @@ def _json_lines(doc_id: str, found, raw: bool = False):
     head = f'{{"doc_id": {_quote(doc_id)}, "type": '
     if raw:
         return (
-            f'{head}{_quote(m.type.value)}, "value": {_quote(m.rearmed)}, '
+            f'{head}{_quote(m.type)}, "value": {_quote(m.rearmed)}, '
             f'"start": {m.start}, "raw": {_quote(m.raw)}}}\n'
             for m in found
         )
-    return (f'{head}{_quote(i.type.value)}, "value": {_quote(i.value)}}}\n' for i in found)
+    return (f'{head}{_quote(i.type)}, "value": {_quote(i.value)}}}\n' for i in found)
 
 
 def cmd_extract(args) -> int:
@@ -364,7 +364,7 @@ def cmd_filter(args) -> int:
     generic_paths = [args.generic_out] if args.generic_out else []
     with _open_outputs(args.out, *generic_paths) as (ioc_out, *generic_out):
         for record in records:
-            indicators = sorted(by_doc.get(record.doc_id, set()), key=Indicator.sort_key)
+            indicators = sorted(by_doc.get(record.doc_id, set()))
             for indicator, line in zip(indicators, _json_lines(record.doc_id, indicators)):
                 rule = filtering.blocking_rule(indicator, blocklist)
                 rule_counts[rule] += 1

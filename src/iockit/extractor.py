@@ -67,7 +67,6 @@ class _Kind(NamedTuple):
     """What the candidate loop needs of one type, looked up once."""
 
     type: IndicatorType
-    name: str
     trim: bool
     rearm: Callable[[str], str]
     valid: Callable[[str], bool] | None
@@ -111,7 +110,7 @@ class Extractor:
         for entry in self._entries:
             t = entry.type
             kind = _Kind(
-                t, t.value, t in _TRIMMED_TYPES, REARMERS[t],
+                t, t in _TRIMMED_TYPES, REARMERS[t],
                 validator(t, self._tlds) if validation else None,
             )
             if t in RUN_BODIES:
@@ -133,11 +132,11 @@ class Extractor:
 
     @classmethod
     def default(cls, validation: bool = True, defanged: bool = True) -> "Extractor":
-        """Built-in catalog over all supported types.
+        """``Extractor(validation=validation, defanged=defanged)``: the
+        built-in catalog over all supported types.
 
-        ``defanged=False`` drops the defang broadening from the patterns
-        (the extractor then only sees armed indicators); ``validation=False``
-        skips the per-type validation functions.
+        Nothing in the package calls it: it is kept only while the
+        benchmark (``perfbench``) calls it, as ``load_catalog`` is.
         """
         return cls(validation=validation, defanged=defanged)
 
@@ -166,12 +165,12 @@ class Extractor:
         """
         rows = []
         for kind, kept in self._accepted(text):
-            name, ind_type = kind.name, kind.type
-            rows += [(start, name, raw, rearmed, ind_type) for start, raw, rearmed in kept]
+            ind_type = kind.type
+            rows += [(start, ind_type, raw, rearmed) for start, raw, rearmed in kept]
         # No two matches of one type share a start, so sorting whole rows
-        # orders them by (start, type name) alone.
+        # orders them by (start, type) alone.
         rows.sort()
-        return [RawMatch(ind_type, start, raw, rearmed) for start, _, raw, rearmed, ind_type in rows]
+        return [RawMatch(ind_type, start, raw, rearmed) for start, ind_type, raw, rearmed in rows]
 
     def extract(self, text: str) -> list[Indicator]:
         """Deduplicated projection of extract_raw by (type, normalized value),
@@ -182,7 +181,7 @@ class Extractor:
         values go into one set, sorted once.
         """
         out: list[Indicator] = []
-        for kind, kept in sorted(self._accepted(text), key=lambda found: found[0].name):
+        for kind, kept in sorted(self._accepted(text), key=lambda found: found[0].type):
             ind_type = kind.type
             values = sorted({normalize(ind_type, rearmed) for _, _, rearmed in kept})
             out.extend(Indicator(ind_type, value) for value in values)
@@ -213,7 +212,7 @@ class Extractor:
         if self._run is not None:
             at_start, run = self._run
             run_kinds = self._run_kinds
-            shares: dict[str, tuple[_Kind, list[tuple[int, str]]]] = {}
+            shares: dict[IndicatorType, tuple[_Kind, list[tuple[int, str]]]] = {}
             runs: Iterable[re.Match[str]] = run.finditer(text)
             if (first := at_start.match(text)) is not None:
                 runs = (first, *runs)
@@ -221,7 +220,7 @@ class Extractor:
                 found = m.group(1)
                 for fullmatch, kind in run_kinds.get(len(found), ()):
                     if fullmatch(found):
-                        shares.setdefault(kind.name, (kind, []))[1].append((m.start(1), found))
+                        shares.setdefault(kind.type, (kind, []))[1].append((m.start(1), found))
             yield from shares.values()
 
 
@@ -247,7 +246,7 @@ def load_catalog(pattern_file: str | Path, tld_file: str | Path) -> Extractor:
             message = f"unknown indicator type {type_name.strip()!r}"
             raise MalformedLineError(pattern_file, line_no, message) from None
         if (ind_type, expression) not in built_in:
-            message = f"not the built-in {ind_type.value} expression"
+            message = f"not the built-in {ind_type} expression"
             raise MalformedLineError(pattern_file, line_no, message)
         types.add(ind_type)
     return Extractor(types, tlds=load_tlds(tld_file))
@@ -273,4 +272,4 @@ def extract(text: str) -> list[Indicator]:
 
 @functools.cache
 def _default() -> Extractor:
-    return Extractor.default()
+    return Extractor()

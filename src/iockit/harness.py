@@ -21,8 +21,6 @@ from typing import NamedTuple, Sequence
 from .errors import DuplicateOutputError, UnknownToolError
 from .types import Indicator, IndicatorType
 
-_VALUE = attrgetter("value")
-
 
 class ToolProfile(NamedTuple):
     """A tool's name and the set of indicator types it can extract."""
@@ -191,7 +189,7 @@ def metrics(
             if tool not in supported or ind_type in supported[tool]:
                 overall.add(counts)
         report[tool] = {
-            "types": {t.value: _cell_metrics(cells[t]) for t in sorted(cells, key=_VALUE)},
+            "types": {t.value: _cell_metrics(cells[t]) for t in sorted(cells)},
             "overall": _cell_metrics(overall),
         }
     return report
@@ -209,8 +207,7 @@ def build_report(
     meaningless) disappear.
     """
     visible = sorted(
-        (t for t in IndicatorType if sum(p.supports(t) for p in profiles) >= min_tool_support),
-        key=_VALUE,
+        t for t in IndicatorType if sum(p.supports(t) for p in profiles) >= min_tool_support
     )
     shown = AccuracyCounters()
     shown.cells.update(cell for cell in counters.cells.items() if cell[0][1] in visible)

@@ -237,7 +237,7 @@ def default_entries(defanged: bool = True) -> list[PatternEntry]:
     """The built-in catalog in type-name order, broadened for defang
     transformations by default."""
     sources = _sources(*_VARIANTS[defanged])
-    return [PatternEntry(t, sources[t]) for t in sorted(sources, key=lambda t: t.value)]
+    return [PatternEntry(t, sources[t]) for t in sorted(sources)]
 
 
 #: The body of each run type, fullmatched by what its expression matches.

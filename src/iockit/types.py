@@ -7,11 +7,12 @@ from typing import NamedTuple
 from .errors import UnknownTypeError
 
 
-class IndicatorType(str, enum.Enum):
+class IndicatorType(enum.StrEnum):
     """The closed set of supported indicator types.
 
-    The enum value is the canonical name and appears verbatim in all
-    JSON/CSV outputs.
+    A member is its canonical name: it sorts, hashes, formats and
+    JSON-encodes as that ``str``, which appears verbatim in all JSON/CSV
+    outputs.
     """
 
     IP4 = "ip4"
@@ -36,9 +37,6 @@ class IndicatorType(str, enum.Enum):
     REGKEY = "regkey"
     GOOGLE_ADSENSE = "googleAdsense"
     GOOGLE_ANALYTICS = "googleAnalytics"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 #: Alternate spellings used by third-party tools, keyed lowercase.
@@ -108,7 +106,7 @@ _ALIASES: dict[str, IndicatorType] = {
     "google_analytics": IndicatorType.GOOGLE_ANALYTICS,
     "ga_tracking_id": IndicatorType.GOOGLE_ANALYTICS,
 }
-_ALIASES.update({t.value.lower(): t for t in IndicatorType})
+_ALIASES.update({t.lower(): t for t in IndicatorType})
 
 
 def normalize_type_name(alias: str) -> IndicatorType:
@@ -150,4 +148,7 @@ class Indicator(NamedTuple):
     value: str
 
     def sort_key(self) -> tuple[str, str]:
+        """``(type name, value)``, which orders indicators exactly as their
+        natural order does, since a type sorts as its name. Nothing in the
+        package uses it: it is kept for callers outside it (``perfbench``)."""
         return (self.type.value, self.value)

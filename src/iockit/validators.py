@@ -53,12 +53,8 @@ def base58check_decode(value: str) -> bytes | None:
             return None
         acc = acc * 58 + idx
     body = acc.to_bytes((acc.bit_length() + 7) // 8, "big")
-    pad = 0
-    for char in value:
-        if char != "1":
-            break
-        pad += 1
-    decoded = b"\x00" * pad + body
+    # Each leading "1" (digit 0) is one leading zero byte.
+    decoded = b"\x00" * (len(value) - len(value.lstrip("1"))) + body
     if len(decoded) < 5:
         return None
     payload, checksum = decoded[:-4], decoded[-4:]

@@ -270,7 +270,7 @@ RUN_STRESSORS = (
 # Text for the anchored passes: anchors as dense as they come, and anchors a
 # window apart, each window full of positions where a match could start.
 ANCHOR_STRESSORS = {
-    T.EMAIL: ("a" * 64 + "@", "[dot]a" * 53 + "@"),
+    T.EMAIL: ("a" * 64 + "@", "[dot]a" * 53 + "@", "a[dot]" * 53 + "[at]"),
     T.FQDN: ("x.y", "a " * 150 + "a."),
     T.IP4: ("1[.]", "999(dot)9 "),
     T.IP4CIDR: ("1/2", "123.123.123.123/1 "),

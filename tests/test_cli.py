@@ -142,6 +142,21 @@ class TestExtractCommand:
         )
         assert serial == parallel
 
+    def test_raw_lines_from_workers_are_the_serial_bytes(self, corpus_dir, capsys):
+        rows = (corpus_dir / "manifest.tsv").read_text().splitlines()
+        rows.append(add_doc(corpus_dir, "d.txt", "mail a[at]evil[.]example.com from 10[.]0.0[.]1 "
+                                                 "via hxxps://evil[.]example.com/a"))
+        manifest = corpus_dir / "four.tsv"
+        manifest.write_text("\n".join(rows) + "\n")
+        outs = []
+        for jobs in ("1", "2"):
+            outs.append(corpus_dir / f"raw-{jobs}.jsonl")
+            argv = ["extract", "--manifest", str(manifest), "--raw", "--jobs", jobs]
+            assert run(capsys, *argv, "--out", str(outs[-1])) == (0, "", "")
+        serial = outs[0].read_bytes()
+        assert b'"raw": "a[at]evil[.]example.com"' in serial and b'"type": "md5"' in serial
+        assert outs[1].read_bytes() == serial
+
     def test_jobs_start_at_most_one_worker_per_document(self, corpus_dir, capsys, monkeypatch):
         # This process extracts a share itself: --jobs N forks N - 1
         # children, and no more than there are other documents.

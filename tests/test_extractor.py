@@ -461,7 +461,7 @@ def reference_extract(extractor, text, validation=True):
 def scan_spans(extractor, text):
     """Every match of the planned scan, as sorted (type, start, string)."""
     return sorted(
-        (kind.name, start, string)
+        (kind.type, start, string)
         for kind, matches in extractor._scan(text)
         for start, string in matches
     )
@@ -576,10 +576,10 @@ def test_run_pass_holds_every_run_type(name):
     assert {kind.type for kinds in extractor._run_kinds.values() for _, kind in kinds} == run_types
     anchors = ANCHORS[extractor._defanged]
     passes = sorted(
-        (kind.name, tuple(anchor.pattern for anchor in compiled))
+        (kind.type, tuple(anchor.pattern for anchor in compiled))
         for _, compiled, _, _, kind in extractor._passes
     )
-    assert passes == sorted((t.value, anchors[t].expressions) for t in extractor.types - run_types)
+    assert passes == sorted((t, anchors[t].expressions) for t in extractor.types - run_types)
 
 
 @pytest.mark.parametrize("name", PLANNED)

@@ -1,5 +1,10 @@
-import pytest
+import enum
+import json
 
+import pytest
+from hypothesis import given, strategies as st
+
+from iockit.cli import _quote
 from iockit.errors import UnknownTypeError
 from iockit.types import Indicator, IndicatorType, RawMatch, normalize_type_name
 
@@ -59,3 +64,18 @@ def test_indicator_equality_and_order():
     c = Indicator(IndicatorType.IP4, "1.1.1.1")
     assert a == b and hash(a) == hash(b)
     assert sorted([c, a], key=Indicator.sort_key) == [a, c]
+
+
+def test_a_type_is_its_canonical_name():
+    assert issubclass(IndicatorType, enum.StrEnum)
+    assert [t.value for t in sorted(IndicatorType)] == sorted(t.value for t in IndicatorType)
+    for t in IndicatorType:
+        assert t == t.value and hash(t) == hash(t.value)
+        assert str(t) == f"{t}" == t.value
+        assert json.dumps([t, {t: 0}]) == json.dumps([t.value, {t.value: 0}])
+        assert _quote(t) == json.dumps(t.value)
+
+
+@given(st.lists(st.builds(Indicator, st.sampled_from(IndicatorType), st.text(max_size=4))))
+def test_indicators_sort_by_type_name_then_value(indicators):
+    assert sorted(indicators) == sorted(indicators, key=Indicator.sort_key)
