@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .defang import REARMERS
 from .errors import DATA, MalformedLineError, read_lines
-from .normalize import normalize
+from .normalize import NORMALIZERS
 from .patterns import (
     ANCHORS, RUN, RUN_AT_START, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries,
 )
@@ -20,6 +21,7 @@ from .validators import DEFAULT_TLDS, load_tlds, validator
 _TRIMMED_TYPES = frozenset({IndicatorType.URL, IndicatorType.REGKEY})
 _TRIM_PLAIN = ".,;:!?'\"`"
 _TRIM_CLOSERS = {")": "(", "]": "[", "}": "{", ">": "<"}
+_SECOND = itemgetter(1)
 
 
 def _trim_trailing(raw: str) -> str:
@@ -36,7 +38,7 @@ def _trim_trailing(raw: str) -> str:
 
 def _anchored(
     pattern: re.Pattern[str], anchors: tuple[re.Pattern[str], ...], reach: int,
-    start: re.Pattern[str], text: str,
+    back: Callable[[str], re.Match[str]] | None, start: re.Pattern[str], text: str,
 ) -> Iterator[tuple[int, str]]:
     """``pattern.finditer(text)`` as ``(start, string)`` pairs, where every
     match holds a match of one of ``anchors`` at most ``reach`` characters
@@ -46,13 +48,17 @@ def _anchored(
     The anchors of all ``anchors`` are walked in text order. For each after
     the last match, ``pattern`` is tried where ``start`` matches in the
     ``reach`` before it that no earlier window tried, in order; the first
-    hit is the match ``finditer`` would return next.
+    hit is the match ``finditer`` would return next. ``back``, where given,
+    first moves the window's start up to the run that ``start`` can match,
+    read backwards from the anchor.
     """
     pos = tried = 0
     for a in sorted([found.start() for anchor in anchors for found in anchor.finditer(text)]):
         if a <= pos:
             continue
         s = max(pos, a - reach, tried)
+        if back is not None:
+            s = a - back(text[s:a][::-1]).end()
         while (candidate := start.search(text, s, a)) is not None:
             m = pattern.match(text, candidate.start())
             if m is None:
@@ -64,12 +70,24 @@ def _anchored(
 
 
 class _Kind(NamedTuple):
-    """What the candidate loop needs of one type, looked up once."""
+    """What the candidate loop needs of one type, looked up once:
+    ``valid`` is None without validation, ``normalize`` for the identity."""
 
     type: IndicatorType
     trim: bool
     rearm: Callable[[str], str]
     valid: Callable[[str], bool] | None
+    normalize: Callable[[str], str] | None
+
+
+def _accepted(kind: _Kind, raws: set[str]) -> dict[str, str]:
+    """The accepted ones of ``raws``, distinct candidates of one type, each
+    mapped to its rearmed value: rearmed, and validated unless validation
+    is off."""
+    rearm, valid = kind.rearm, kind.valid
+    if valid is None:
+        return dict(zip(raws, map(rearm, raws)))
+    return {raw: rearmed for raw in raws if valid(rearmed := rearm(raw))}
 
 
 class Extractor:
@@ -111,7 +129,7 @@ class Extractor:
             t = entry.type
             kind = _Kind(
                 t, t in _TRIMMED_TYPES, REARMERS[t],
-                validator(t, self._tlds) if validation else None,
+                validator(t, self._tlds) if validation else None, NORMALIZERS[t],
             )
             if t in RUN_BODIES:
                 share = (re.compile(RUN_BODIES[t]).fullmatch, kind)
@@ -121,7 +139,8 @@ class Extractor:
             anchor = anchors[t]
             passes.append((
                 re.compile(entry.expression), tuple(map(re.compile, anchor.expressions)),
-                anchor.reach, re.compile(anchor.start), kind,
+                anchor.reach, anchor.back and re.compile(anchor.back).match,
+                re.compile(anchor.start), kind,
             ))
         self._passes = tuple(passes)
         self._run = (re.compile(RUN_AT_START), re.compile(RUN)) if self._run_kinds else None
@@ -159,14 +178,20 @@ class Extractor:
     def extract_raw(self, text: str) -> list[RawMatch]:
         """Every validated match, duplicates included, ordered by (start, type).
 
-        Validation runs on the rearmed value. Within one type matches never
-        overlap (each type is one pass); across types overlaps are all
-        reported, e.g. a URL and the domain embedded in it.
+        Validation runs on the rearmed value, once per distinct candidate of
+        a type. Within one type matches never overlap (each type is one
+        pass); across types overlaps are all reported, e.g. a URL and the
+        domain embedded in it.
         """
         rows = []
-        for kind, kept in self._accepted(text):
+        for kind, matches in self._candidates(text):
+            if not (matches := list(matches)):
+                continue
+            accepted = _accepted(kind, set(map(_SECOND, matches)))
             ind_type = kind.type
-            rows += [(start, ind_type, raw, rearmed) for start, raw, rearmed in kept]
+            rows += [
+                (start, ind_type, raw, accepted[raw]) for start, raw in matches if raw in accepted
+            ]
         # No two matches of one type share a start, so sorting whole rows
         # orders them by (start, type) alone.
         rows.sort()
@@ -177,31 +202,32 @@ class Extractor:
         ordered by type name then value.
 
         Skips what extract_raw builds only to deduplicate: no RawMatch is
-        made and matches are not put in text order; each type's normalized
-        values go into one set, sorted once.
+        made and matches are not put in text order. Each distinct candidate
+        of a type is rearmed, validated and normalized once, and each type's
+        values are sorted once.
         """
-        out: list[Indicator] = []
-        for kind, kept in sorted(self._accepted(text), key=lambda found: found[0].type):
-            ind_type = kind.type
-            values = sorted({normalize(ind_type, rearmed) for _, _, rearmed in kept})
-            out.extend(Indicator(ind_type, value) for value in values)
-        return out
+        found = []
+        for kind, matches in self._candidates(text):
+            if not (raws := set(map(_SECOND, matches))):
+                continue
+            values = _accepted(kind, raws).values()
+            if kind.normalize is not None:
+                values = map(kind.normalize, values)
+            if values := sorted(set(values)):
+                found.append((kind.type, values))
+        # Each type is one kind, so sorting the pairs orders them by type alone.
+        found.sort()
+        return [Indicator(ind_type, value) for ind_type, values in found for value in values]
 
-    def _accepted(self, text: str) -> Iterator[tuple[_Kind, list[tuple[int, str, str]]]]:
-        """Each type found in ``text`` as its kind and its accepted
-        candidates, ``(start, raw, rearmed)`` in text order: trimmed (URL,
-        regkey), rearmed, and validated unless validation is off."""
+    def _candidates(self, text: str) -> Iterator[tuple[_Kind, Iterable[tuple[int, str]]]]:
+        """``_scan``'s matches as candidates ``(start, raw)``: trimmed where
+        the type trims (URL, regkey), and dropped when nothing is left."""
         for kind, matches in self._scan(text):
-            trim, rearm, valid = kind.trim, kind.rearm, kind.valid
-            accepted = []
-            for start, raw in matches:
-                if trim and not (raw := _trim_trailing(raw)):
-                    continue
-                rearmed = rearm(raw)
-                if valid is None or valid(rearmed):
-                    accepted.append((start, raw, rearmed))
-            if accepted:
-                yield kind, accepted
+            if kind.trim:
+                matches = [
+                    (start, raw) for start, found in matches if (raw := _trim_trailing(found))
+                ]
+            yield kind, matches
 
     def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[tuple[int, str]]]]:
         """Each type's pass over ``text`` as its kind and its pattern

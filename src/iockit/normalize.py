@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .types import IndicatorType
 
@@ -20,6 +21,25 @@ _URL_SCHEME = re.compile(URL_SCHEME)
 _CVE_PREFIX = re.compile(r"(?i)\Acve-")
 
 
+def _asn(value: str) -> str:
+    m = _ASN_VALUE.match(value)
+    return f"AS{m.group(1)}" if m else value
+
+
+def _url(value: str) -> str:
+    return value if _URL_SCHEME.match(value) else "http://" + value
+
+
+def _cve(value: str) -> str:
+    return _CVE_PREFIX.sub("CVE-", value)
+
+
+#: Type -> its canonicalization, None where a value is its own canonical form.
+NORMALIZERS: dict[IndicatorType, Callable[[str], str] | None] = {
+    t: str.lower if t in LOWERCASED_TYPES else None for t in IndicatorType
+} | {_T.ASN: _asn, _T.URL: _url, _T.CVE: _cve}
+
+
 def normalize(type: IndicatorType, value: str) -> str:
     """Canonical form of an armed indicator value. Total and idempotent.
 
@@ -28,15 +48,5 @@ def normalize(type: IndicatorType, value: str) -> str:
     prefix. Case-significant values (bitcoin, ethereum) pass through
     untouched because their case carries checksum information.
     """
-    if type in LOWERCASED_TYPES:
-        return value.lower()
-    if type is _T.ASN:
-        m = _ASN_VALUE.match(value)
-        return f"AS{m.group(1)}" if m else value
-    if type is _T.URL:
-        if not _URL_SCHEME.match(value):
-            return "http://" + value
-        return value
-    if type is _T.CVE:
-        return _CVE_PREFIX.sub("CVE-", value)
-    return value
+    canonical = NORMALIZERS.get(type)
+    return value if canonical is None else canonical(value)

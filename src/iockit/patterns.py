@@ -63,6 +63,13 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   the match ``finditer`` would return, since a match starting earlier
   would hold an earlier anchor. Windows never overlap, so the scan stays
   linear however dense the anchors are.
+  fqdn and email, whose ``start`` keeps its guard first, find the window's
+  start backwards (``back``): one ``match`` of the reversed form of what a
+  match holds before its anchor, over the reversed window, gives the run of
+  whole units that ends at the anchor, and ``start`` is searched from the
+  run's first character instead of at every position of the reach. Every
+  start lies inside that run, and the backward split of the run is forced,
+  as no dot form ends in a local-part or label character.
 * run (``RUN_BODIES``): each match of md5, sha1, sha256, sha512, ethereum,
   bitcoin, monero and iban is one maximal run of ``[A-Za-z0-9]`` that the
   type's body fullmatches. One ``RUN`` pass finds the runs, and each goes
@@ -267,11 +274,15 @@ class Anchor(NamedTuple):
     ``expressions`` starts with its own literal, so no two report the same
     position. ``start`` is searched in the text cut at an anchor
     (``endpos``): it matches where every match holding that anchor, or a
-    later one, starts in the ``reach`` before it."""
+    later one, starts in the ``reach`` before it. ``back``, where not None,
+    matches the reversed text before an anchor up to the earliest of those
+    starts, or further: the reversed form of what a match can hold before
+    its anchor, as whole units."""
 
     expressions: tuple[str, ...]
     reach: int
     start: str
+    back: str | None = None
 
 
 def _occurrences(forms: tuple[str, ...], then: str = "") -> tuple[str, ...]:
@@ -295,17 +306,21 @@ def _anchors(
     # character follows it. An email's at-form comes after its local part,
     # and no dot form holds an at-form's first character, so the text from
     # a match's start to any anchor inside its local part is whole units.
-    # The other anchors come after a head that holds none of them.
+    # Read backwards, those units split one way only: no dot form ends in a
+    # local-part or label character. The other anchors come after a head
+    # that holds none of them.
     return {
         _T.FQDN: Anchor(
             _occurrences(dots, _LABEL_START),
             63,
             rf"{_LABEL_START}(?<!{_FQDN_GUARD}.){_LABEL_CHAR}{{0,62}}+\Z",
+            rf"{_LABEL_CHAR}{{0,63}}+",
         ),
         _T.EMAIL: Anchor(
             _occurrences(ats),
             _LOCAL_UNITS * max(map(len, dots)),
             rf"(?<!{_EMAIL_GUARD})(?:{_LOCAL_CHAR}|{_either(dots)}){{1,{_LOCAL_UNITS}}}+\Z",
+            rf"(?:{_LOCAL_CHAR}|{_either(tuple(dot[::-1] for dot in dots))}){{0,{_LOCAL_UNITS}}}+",
         ),
         _T.IP4: Anchor(_occurrences(dots, r"\d"), 3, rf"{_IP4_HEAD}\Z"),
         _T.IP4CIDR: Anchor(_occurrences(("/",), r"\d"), 15, rf"{_IP4CIDR_HEAD}\Z"),

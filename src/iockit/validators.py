@@ -6,16 +6,18 @@ about defang transformations. A value must be ASCII. Checksummed types
 the TLD snapshot; cve, regkey, googleAdsense and googleAnalytics have no
 check beyond ASCII; md5, sha1, sha256, sha512, ethereum and monero have
 the shapes of their run bodies, ``patterns.RUN_BODIES``; everything else is
-structural, on the shapes of ``patterns`` and ``normalize``. Two accept
+structural, on the shapes of ``patterns`` and ``normalize``. ip6 is one
+expression that accepts what ``ipaddress.IPv6Address`` accepts, scope IDs
+included, so validation imports no ``ipaddress``. Two accept
 more than their expressions: IBAN check digits are ``\\d``, and ssdeep
 blocks have any length. An IBAN's country BBAN expression is compiled the
-first time that country is checked.
+first time that country is checked, and the ip6 expression the first time
+an ip6 is.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
-import ipaddress
 import re
 from pathlib import Path
 from typing import Callable
@@ -132,21 +134,15 @@ def is_valid_iban(value: str) -> bool:
 # network types
 
 MAX_FQDN_LENGTH = 253
-_LABEL_RE = re.compile(rf"{LABEL}\Z")
-_TLD_RE = re.compile(rf"{TLD}\Z")
+_FQDN_RE = re.compile(rf"(?:{LABEL}\.)+({TLD})\Z")
 
 
 def is_valid_fqdn(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
     """Final label is in the TLD snapshot and total length <= 253 characters."""
-    if not value or len(value) > MAX_FQDN_LENGTH:
+    if len(value) > MAX_FQDN_LENGTH:
         return False
-    labels = value.split(".")
-    if len(labels) < 2:
-        return False
-    if not all(_LABEL_RE.match(lbl) for lbl in labels[:-1]):
-        return False
-    tld = labels[-1]
-    return bool(_TLD_RE.match(tld)) and tld.lower() in tlds
+    m = _FQDN_RE.match(value)
+    return m is not None and m.group(1).lower() in tlds
 
 
 def is_valid_ip4(value: str) -> bool:
@@ -166,15 +162,33 @@ def is_valid_ip4cidr(value: str) -> bool:
     return is_valid_ip4(address)
 
 
+# What ``ipaddress.IPv6Address`` accepts: eight groups, or fewer around one
+# ``::``; the last two may be a dotted quad without leading zeros; a scope
+# is anything but ``%`` and ``/``. The lookahead counts the groups of a
+# ``::`` form, the quad as two: seven at most.
+_GROUP = f"{HEX}{{1,4}}"
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_QUAD = rf"(?:{_OCTET}\.){{3}}{_OCTET}"
+_IP6 = (
+    rf"(?:(?:{_GROUP}:){{6}}(?:{_GROUP}:{_GROUP}|{_QUAD})"
+    rf"|(?!(?::*+{HEX}++|\.[0-9.]++){{8}})(?:{_GROUP}(?::{_GROUP}){{0,6}})?::"
+    rf"(?:(?:{_GROUP}:){{0,6}}(?:{_GROUP}|{_QUAD}))?)(?:%[^%/]+)?\Z"
+)
+
+
+@functools.cache
+def _ip6_match() -> Callable[[str], re.Match[str] | None]:
+    """The ip6 expression's ``match``, compiled the first time an ip6 is
+    checked: a command whose documents hold none never pays for it."""
+    return re.compile(_IP6).match
+
+
 def is_valid_ip6(value: str) -> bool:
-    try:
-        ipaddress.IPv6Address(value)
-    except ValueError:
-        return False
-    return True
+    return _ip6_match()(value) is not None
 
 
 _URL_SPLIT = re.compile(rf"{URL_SCHEME}(?P<host>{URL_HOST})(?::(?P<port>\d+))?(?:[/?#]|\Z)")
+_DOTTED_DIGITS = re.compile(r"[\d.]+\Z")
 
 
 def is_valid_url(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
@@ -190,7 +204,7 @@ def is_valid_url(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
         return False
     if host.startswith("["):
         return is_valid_ip6(host[1:-1])
-    if re.fullmatch(r"[\d.]+", host):
+    if _DOTTED_DIGITS.match(host):
         return is_valid_ip4(host)
     return is_valid_fqdn(host, tlds)
 
@@ -204,8 +218,11 @@ def is_valid_email(value: str, tlds: frozenset[str] = DEFAULT_TLDS) -> bool:
     return is_valid_fqdn(domain, tlds)
 
 
+_ASN_PREFIX = re.compile(r"(?i)\Aasn?")
+
+
 def is_valid_asn(value: str) -> bool:
-    digits = re.sub(r"(?i)\Aasn?", "", value)
+    digits = _ASN_PREFIX.sub("", value)
     return digits.isdecimal() and int(digits) <= 0xFFFFFFFF
 
 

@@ -577,7 +577,7 @@ def test_run_pass_holds_every_run_type(name):
     anchors = ANCHORS[extractor._defanged]
     passes = sorted(
         (kind.type, tuple(anchor.pattern for anchor in compiled))
-        for _, compiled, _, _, kind in extractor._passes
+        for _, compiled, _, _, _, kind in extractor._passes
     )
     assert passes == sorted((t, anchors[t].expressions) for t in extractor.types - run_types)
 

@@ -93,6 +93,40 @@ def test_filter_loads_no_extractor_module(one_doc):
     assert [name for name in not_run if name in loaded] == []
 
 
+def test_extract_imports_no_ipaddress(one_doc):
+    # One expression checks ip6; ``ipaddress`` is left to the tests as its
+    # oracle. Before Python 3.13 ``pathlib`` loads ``ipaddress`` through
+    # ``urllib.parse``, so the fresh interpreter loads ``pathlib`` first and
+    # then makes every later ``import ipaddress`` fail.
+    (one_doc / "a.txt").write_text("c2 2001:db8::7 and ::ffff:198.51.100.7 at http://[::1]/x")
+    doc_id = hashlib.sha256((one_doc / "a.txt").read_bytes()).hexdigest()
+    (one_doc / "manifest.tsv").write_text(f"{doc_id}\ta.txt\trss:feed.example.com\ttext\n")
+    argv = ["extract", "--manifest", str(one_doc / "manifest.tsv"), "--out", str(one_doc / "out.jsonl")]
+    code = fresh(f"""
+        import json, pathlib, sys
+        sys.modules["ipaddress"] = None
+        from iockit import cli
+        print(json.dumps(cli.main({argv!r})))
+    """)
+    assert code == 0
+    assert (one_doc / "out.jsonl").read_text().count('"ip6"') == 3
+
+
+def test_ip6_expression_compiles_for_the_first_ip6():
+    # Building an extractor compiles no ip6 expression, and neither does a
+    # text without an ip6 candidate: a run that finds none never pays for it.
+    compiled = fresh("""
+        import json
+        from iockit import Extractor, validators
+        extractor, counts = Extractor(), []
+        for text in ("", "mail ops@evil.org", "c2 2001:db8::7"):
+            extractor.extract(text)
+            counts.append(validators._ip6_match.cache_info().currsize)
+        print(json.dumps(counts))
+    """)
+    assert compiled == [0, 0, 1]
+
+
 def test_parallel_extract_loads_no_process_pool(one_doc):
     # --jobs forks its own workers.
     (one_doc / "b.txt").write_text("c2 198.51.100.7 again")

@@ -6,8 +6,10 @@ import tomllib
 from pathlib import Path
 from re import _constants as sre, _parser
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from iockit.defang import DEFAULT_RULES
 from iockit.patterns import _VARIANTS, ANCHORS, RUN, RUN_BODIES, default_entries
 from iockit.types import IndicatorType
 
@@ -214,6 +216,66 @@ def test_every_anchor_reach_is_the_longest_start():
     for defanged in (True, False):
         for t, anchor in ANCHORS[defanged].items():
             assert anchor.reach == _parser.parse(anchor.start).getwidth()[1], (t, defanged)
+
+
+#: Types whose window start is found backwards: the guard-first types but
+#: onionAddress, whose windows hold little more than the name itself.
+FOUND_BACKWARDS = {T.FQDN, T.EMAIL}
+#: Characters a match holds before its anchor, for the types found backwards.
+_RUN_CHARS = {T.FQDN: "a_-9", T.EMAIL: "a+.9"}
+#: Each type's anchor as text, by variant.
+_ANCHOR_FORMS = {
+    defanged: {T.FQDN: [dot + "x" for dot in dots], T.EMAIL: list(ats)}
+    for defanged, (dots, ats, _, _) in _VARIANTS.items()
+}
+
+
+def _backward_texts(t, defanged):
+    """Texts for a type found backwards: every code point, between run
+    characters and so just before a run, in blocks short enough to lie in
+    one window; every defang form, alone, in runs and around an anchor; runs
+    on both sides of the reach; and the hostile email inputs of the time
+    budget."""
+    forms, run = _ANCHOR_FORMS[defanged][t], _RUN_CHARS[t]
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    block = ANCHORS[defanged][t].reach // 3 - 1
+    yield "".join(
+        f"{run[0]}{(run[1] + run[2]).join(every[i : i + block])}{run[3]}{forms[i // block % len(forms)]} "
+        for i in range(0, len(every), block)
+    )
+    rules = [rule.pattern for rule in DEFAULT_RULES]
+    yield "".join(f"{a}{run}{b}{run}{form} " for a in rules for b in rules for form in forms)
+    yield "".join(f"{a}{run[0] * n}{form}{b}" for a in rules + [" ", ""] for b in rules
+                  for n in (1, 15, 16, 55, 56, 57, 62, 63, 64, 65) for form in forms)
+    yield "".join(f"{a}{rule * n}{run[0]}{form} " for a in "(]) .a" for rule in rules
+                  for n in (1, 63, 64, 65) for form in forms)
+    yield ("[dot]a" * 53 + "@") * 8 + ("a[dot]" * 53 + "[at]") * 8
+
+
+@pytest.mark.parametrize("defanged", [True, False])
+@pytest.mark.parametrize("t", sorted(FOUND_BACKWARDS))
+def test_backward_start_is_that_of_the_whole_window(t, defanged):
+    # Moving the window's start up to the run found backwards leaves the
+    # first start that ``start`` finds before each anchor where it was.
+    anchor = ANCHORS[defanged][t]
+    back, start = re.compile(anchor.back).match, re.compile(anchor.start)
+    anchors = [re.compile(e) for e in anchor.expressions]
+    checked = 0
+    for text in _backward_texts(t, defanged):
+        found = sorted(m.start() for e in anchors for m in e.finditer(text))
+        checked += len(found)
+        for previous, a in zip([0, *found], found):
+            for s in {max(0, a - anchor.reach), max(previous, a - anchor.reach)}:
+                expected = start.search(text, s, a)
+                got = start.search(text, a - back(text[s:a][::-1]).end(), a)
+                assert (got and got.start()) == (expected and expected.start()), (
+                    t, defanged, text[max(0, a - anchor.reach - 5) : a + 5])
+    assert checked > sys.maxunicode // anchor.reach * 3
+
+
+def test_only_fqdn_and_email_are_found_backwards():
+    for defanged in (True, False):
+        assert {t for t, anchor in ANCHORS[defanged].items() if anchor.back} == FOUND_BACKWARDS
 
 
 def test_every_anchor_and_the_run_pass_start_with_a_literal_or_class():

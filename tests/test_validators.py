@@ -1,8 +1,10 @@
+import ipaddress
 import random
 import re
 from typing import Callable
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iockit.filtering import indicator_host
 from iockit.normalize import normalize
@@ -478,3 +480,114 @@ def test_other_scripts_decimal_digits_accepted_by_direct_calls():
     assert is_valid_ip4cidr("1.1.1.1/\u0663\u0662") is True
     assert is_valid_asn("AS\u0661\u0662") is True
     assert validate(T.IP4, "1.1.1.\u0668") is False
+
+
+# -- ip6 against ipaddress ------------------------------------------------------
+
+
+def ipaddress_accepts(value):
+    """The oracle of is_valid_ip6: what the standard library parses."""
+    try:
+        ipaddress.IPv6Address(value)
+    except ValueError:
+        return False
+    return True
+
+
+#: Groups, valid or not: up to five hex digits, either case, and another
+#: script's digit.
+_IP6_GROUPS = ("0", "1", "ab", "FfFf", "0000", "12345", "g", "٣", "１")
+#: Dotted-quad tails: valid ones, and leading zeros, octets over 255, three
+#: or five octets and another script's digit.
+_IP6_QUADS = (
+    "1.2.3.4", "0.0.0.0", "255.255.255.255", "01.2.3.4", "1.2.3.00", "256.1.1.1",
+    "1.2.3", "1.2.3.4.5", "1.٣.3.4", "1.2.3.４", "1..3.4",
+)
+_IP6_SCOPES = ("", "%s", "%eth0", "%", "%a%b", "%1/2", "%\n", "%٣")
+
+
+def _ip6_forms(groups, tail):
+    """``groups`` joined by colons, and with ``::`` in every place; each
+    with ``tail`` as the last part."""
+    parts = [*groups, tail] if tail else list(groups)
+    yield ":".join(parts)
+    for i in range(len(parts) + 1):
+        yield ":".join(parts[:i]) + "::" + ":".join(parts[i:])
+
+
+def test_ip6_accepts_what_ipaddress_does_with_double_colon_anywhere(rng):
+    # Up to nine groups, or fewer and a dotted quad, with ``::`` in every
+    # place or none, under each scope; and each of those mutated.
+    values = {
+        form + scope
+        for n in range(10)
+        for tail in ("", *_IP6_QUADS)
+        for form in _ip6_forms(["1a"] * n, tail)
+        for scope in _IP6_SCOPES
+    }
+    values |= {_mutated(rng, value) for value in sorted(values) for _ in range(3)}
+    accepted = 0
+    for value in values:
+        expected = ipaddress_accepts(value)
+        assert is_valid_ip6(value) is expected, value
+        accepted += expected
+    assert 500 < accepted < len(values)
+
+
+_ip6_parts = st.lists(st.sampled_from(_IP6_GROUPS) | st.text("0123456789abcdefABCDEF", max_size=5),
+                      min_size=0, max_size=10)
+
+
+@st.composite
+def ip6_shaped(draw):
+    """An IPv6-shaped value: 7, 8 or 9 groups or any count up to ten, an
+    optional dotted-quad tail, ``::`` in any place or none, and a scope;
+    then one to three characters replaced, inserted or deleted."""
+    groups = draw(st.sampled_from([["1"] * 7, ["1"] * 8, ["1"] * 9]) | _ip6_parts)
+    groups = [draw(st.sampled_from(_IP6_GROUPS)) if draw(st.booleans()) else g for g in groups]
+    tail = draw(st.sampled_from(("",) + _IP6_QUADS))
+    value = draw(st.sampled_from(list(_ip6_forms(groups, tail)))) + draw(st.sampled_from(_IP6_SCOPES))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(value)))
+        edit = draw(st.sampled_from("rid"))
+        char = draw(st.sampled_from("0:.%/af9Fx ٣１"))
+        if edit == "r":
+            value = value[:pos] + char + value[pos + 1 :]
+        elif edit == "i":
+            value = value[:pos] + char + value[pos:]
+        else:
+            value = value[:pos] + value[pos + 1 :]
+    return value
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=ip6_shaped())
+@example(value="1:2:3:4:5:6:7::8")
+@example(value="1::2:3:4:5:6:7:8")
+@example(value="::1:2:3:4:5:1.2.3.4")
+@example(value="1::2:3:4:5:6:1.2.3.4")
+@example(value="::ffff:1.2.3.4%eth0")
+@example(value="fe80::1%1/2")
+def test_ip6_accepts_what_ipaddress_does(value):
+    assert is_valid_ip6(value) is ipaddress_accepts(value)
+    assert validate(T.IP6, value) is (value.isascii() and ipaddress_accepts(value))
+
+
+#: Characters a domain, URL or email drawn below is made of: every separator
+#: of the three grammars, label characters, and characters none holds.
+_ADDRESS_CHARS = "aZ09_-.:/?#@[]%xn" + "\t "
+_address_parts = st.sampled_from(
+    ("http://", "ftp://", "HTTP://", "u@", "u:p@", "[::1]", "1.2.3.4", "xn--p1ai", "Xn--", "com",
+     "COM", "zz", ":80", ":99999", "/x", "?q", "#f", ".", "..", "a" * 63, "a" * 64, "-", "b-")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_address_parts | st.text(_ADDRESS_CHARS, max_size=6), max_size=12).map("".join))
+@example("a." * 126 + "com")
+@example("a." * 125 + "aaa.com")
+def test_fqdn_url_email_accept_what_the_frozen_spellings_do(value):
+    for tlds in (DEFAULT_TLDS, frozenset({"com", "zz", "xn--p1ai"})):
+        assert is_valid_fqdn(value, tlds) is frozen_is_valid_fqdn(value, tlds), value
+        assert is_valid_url(value, tlds) is frozen_is_valid_url(value, tlds), value
+        assert is_valid_email(value, tlds) is frozen_is_valid_email(value, tlds), value
