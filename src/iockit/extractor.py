@@ -11,7 +11,7 @@ from .defang import REARMERS
 from .errors import DATA, MalformedLineError, read_lines
 from .normalize import NORMALIZERS
 from .patterns import (
-    ANCHORS, RUN, RUN_AT_START, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries,
+    ANCHORS, FOLD, RUN, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries,
 )
 from .types import Indicator, IndicatorType, RawMatch
 from .validators import DEFAULT_TLDS, load_tlds, validator
@@ -100,9 +100,10 @@ class Extractor:
     arguments that build it.
 
     Each type is one pass of the scan plan (see ``patterns``): a run type
-    has its share of one pass over alphanumeric runs, and every other type
-    is tried only near its anchors. Results are those of one ``finditer``
-    pass per type.
+    has its share of one pass over alphanumeric runs, a literal search over
+    a copy of the text folded to one byte per character (``patterns.FOLD``),
+    and every other type is tried only near its anchors. Results are those
+    of one ``finditer`` pass per type.
     """
 
     def __init__(
@@ -143,7 +144,7 @@ class Extractor:
                 re.compile(anchor.start), kind,
             ))
         self._passes = tuple(passes)
-        self._run = (re.compile(RUN_AT_START), re.compile(RUN)) if self._run_kinds else None
+        self._run = re.compile(RUN) if self._run_kinds else None
 
     def __reduce__(self):
         # The kinds hold closures, which do not pickle.
@@ -236,17 +237,17 @@ class Extractor:
         for *scan, kind in self._passes:
             yield kind, _anchored(*scan, text)
         if self._run is not None:
-            at_start, run = self._run
             run_kinds = self._run_kinds
             shares: dict[IndicatorType, tuple[_Kind, list[tuple[int, str]]]] = {}
-            runs: Iterable[re.Match[str]] = run.finditer(text)
-            if (first := at_start.match(text)) is not None:
-                runs = (first, *runs)
-            for m in runs:
-                found = m.group(1)
+            # A space before the text folds to the byte before a run that
+            # starts it, so each match starts where its run does in the text
+            # and ends one character past it.
+            for m in self._run.finditer((b" " + text.encode("ascii", "replace")).translate(FOLD)):
+                start, end = m.span()
+                found = text[start:end - 1]
                 for fullmatch, kind in run_kinds.get(len(found), ()):
                     if fullmatch(found):
-                        shares.setdefault(kind.type, (kind, []))[1].append((m.start(1), found))
+                        shares.setdefault(kind.type, (kind, []))[1].append((start, found))
             yield from shares.values()
 
 

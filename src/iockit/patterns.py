@@ -74,9 +74,15 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   bitcoin, monero and iban is one maximal run of ``[A-Za-z0-9]`` that the
   type's body fullmatches. One ``RUN`` pass finds the runs, and each goes
   to every run type held whose body it fullmatches: a run can be both md5
-  and bitcoin, or both md5 and iban. ``RUN`` starts with the class of the
-  character before a run, where a leading guard would enter the matcher
-  at every position; ``RUN_AT_START`` finds a run that starts the text.
+  and bitcoin, or both md5 and iban. ``RUN`` is a bytes expression,
+  searched in a folded copy of the text: a space, then
+  ``text.encode("ascii", "replace")`` (one byte per character, ``?`` for
+  each non-ASCII one), translated through ``FOLD``, which maps
+  ``[A-Za-z0-9]`` to one byte and every other byte to another. ``RUN``
+  starts with the other byte and the run byte written out as often as the
+  shortest run is long: a literal prefix that ``re`` searches for in C,
+  where a leading class or guard would enter the matcher at nearly every
+  character of prose.
 """
 from __future__ import annotations
 
@@ -256,15 +262,25 @@ RUN_LENGTHS: dict[IndicatorType, range] = {
     for t, p in _RUN_PIECES.items()
 }
 
-#: A run of [A-Za-z0-9] as long as some run type's body, as group 1, that
-#: ends a maximal run: searched at position 0 for a run that starts the text.
-RUN_AT_START = (
-    rf"([A-Za-z0-9]{{{min(r.start for r in RUN_LENGTHS.values())},"
-    rf"{max(r.stop for r in RUN_LENGTHS.values()) - 1}}}+){_RUN_GUARD_R}"
+# What a folded text holds for each character of [A-Za-z0-9], and for every
+# other character.
+_RUN_BYTE = b"a"
+_OTHER_BYTE = b" "
+#: The fold of the run pass, a ``bytes.translate`` table: each ASCII letter
+#: and digit (``bytes.isalnum`` is ASCII only) to one byte, every other
+#: byte to another. Over ``text.encode("ascii", "replace")``, which writes
+#: one ``?`` for each non-ASCII code point, it gives one byte per character.
+FOLD = b"".join(_RUN_BYTE if bytes((i,)).isalnum() else _OTHER_BYTE for i in range(256))
+_SHORTEST_RUN = min(r.start for r in RUN_LENGTHS.values())
+_LONGEST_RUN = max(r.stop for r in RUN_LENGTHS.values()) - 1
+#: The run pass, over the fold of a space and a text: every maximal run of
+#: [A-Za-z0-9] as long as some run type's body, with the character before
+#: it. The shortest run is written out, so the expression starts with a
+#: literal that ``re`` searches for in C.
+RUN = (
+    _OTHER_BYTE + _RUN_BYTE * _SHORTEST_RUN
+    + b"%s{0,%d}+(?!%s)" % (_RUN_BYTE, _LONGEST_RUN - _SHORTEST_RUN, _RUN_BYTE)
 )
-#: The run pass: every other maximal run of [A-Za-z0-9] as long as some run
-#: type's body, as group 1, entered at the character before it.
-RUN = rf"[^A-Za-z0-9]{RUN_AT_START}"
 
 
 class Anchor(NamedTuple):

@@ -359,10 +359,20 @@ _hex_runs = st.sampled_from((16, 31, 32, 33, 40, 41, 64, 128, 129)).flatmap(
 _alnum_runs = st.sampled_from((14, 15, 34, 35, 128, 129)).flatmap(
     lambda n: st.text(_ALNUM, min_size=n, max_size=n)
 )
+#: Non-ASCII neighbours of a run, each one character of the text: letters
+#: and digits that Unicode classes take, the code points IGNORECASE equates
+#: with ASCII letters, both ends of the Latin-1 range, a lone surrogate and
+#: an astral character. Together they make str of all three widths.
+NON_ASCII_NEIGHBOURS = (
+    "\u00e9", "\u0663", "\uff12", "\u0130", "\u017f", "\u212a", "\u0080", "\u00ff",
+    "\udc80", "\U0001f600",
+)
 #: Pieces of text shaped to probe the scan plan: anchor literals and near
-#: misses, anchored values, and hex and alphanumeric runs.
+#: misses, anchored values, hex and alphanumeric runs, and the non-ASCII
+#: neighbours.
 PLAN_SHAPED_PIECES = (
     st.sampled_from(_ANCHOR_PIECES)
+    | st.sampled_from(NON_ASCII_NEIGHBOURS)
     | st.sampled_from(_ANCHORED_VALUES)
     | st.text(_HEX_DIGITS, max_size=6)
     | _hex_runs

@@ -261,9 +261,12 @@ ADVERSARIAL_SEEDS = {
 # Text for the run pass of all eight run types: runs one character past
 # the longest body, at the longest body, at the shortest run it takes, of
 # several types at once (md5, bitcoin and iban), and alphanumeric runs too
-# long for any type.
+# long for any type. Then text for its fold to ASCII: an md5 right after a
+# non-ASCII letter, a non-ASCII letter after every ASCII one, and no ASCII
+# character at all.
 RUN_STRESSORS = (
     "0" * 129 + "!", "0" * 128 + "!", "A" * 15 + " ", "AB12" + "1" * 28 + " ", "a" * 200 + " ",
+    "\u00e9" + "0" * 32 + " ", "a\u00e9", "\u65e5\u672c",
 )
 
 

@@ -20,7 +20,7 @@ from iockit.patterns import _URL_PATH_CHAR, ANCHORS, RUN_BODIES, default_entries
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import load_tlds, validate
 
-from conftest import plan_shaped, plant_text, render
+from conftest import NON_ASCII_NEIGHBOURS, plan_shaped, plant_text, render
 
 T = IndicatorType
 
@@ -612,6 +612,47 @@ def test_planned_scan_matches_reference_on_anchor_edges(name, edge):
     assert scan_spans(extractor, text) == reference_spans(extractor, text)
     assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
     assert extractor.extract(text) == reference_extract(extractor, text, validation)
+
+
+#: Alphanumeric runs one short of the shortest run body (14) and at it (an
+#: iban body, 15), at the two longest bitcoin lengths (a valid address, 34,
+#: and a bitcoin body, 35), and at sha512's length and one past it.
+_FOLD_RUNS = (
+    "GB82WEST123456", "GB82WEST1234569", "1BoatSLRHtKNngkdXEeobR76b53LETtpyT",
+    "1" + "a" * 34, "ab" * 64, "ab" * 64 + "c",
+)
+
+
+def _str_width(text: str) -> int:
+    """Bytes per character of ``text`` as CPython stores it."""
+    top = max(map(ord, text))
+    return 1 if top < 0x100 else 2 if top < 0x10000 else 4
+
+
+def test_fold_neighbours_cover_every_str_width():
+    assert sorted({_str_width(c) for c in NON_ASCII_NEIGHBOURS}) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("validation", (False, True))
+@pytest.mark.parametrize("neighbour", NON_ASCII_NEIGHBOURS)
+def test_run_pass_fold_matches_reference_beside_non_ascii(neighbour, validation):
+    # The run pass reads a copy of the text with one byte per character, so
+    # a non-ASCII neighbour must neither join a run nor shift the offsets of
+    # the runs after it, at the text's start, in its middle and at its end.
+    extractor = Extractor() if validation else Extractor(RUN_BODIES, validation=False)
+    assert {len(run) for run in _FOLD_RUNS} == {14, 15, 34, 35, 128, 129}
+    n = neighbour
+    for run in _FOLD_RUNS:
+        for text in (
+            f"{run}{n} mid {n}{run}{n} {n * 3}{run} end {n}{run}",
+            f"{n}{run}{n}{run}",
+            f"{run} {n}{n}{run}{n}{n}",
+        ):
+            assert _str_width(text) == _str_width(n)
+            assert scan_spans(extractor, text) == reference_spans(extractor, text), (run, text)
+            assert extractor.extract_raw(text) == reference_extract_raw(
+                extractor, text, validation
+            ), (run, text)
 
 
 #: Matches of each anchored and run type, defanged ones included, to

@@ -4,13 +4,13 @@ import re
 import sys
 import tomllib
 from pathlib import Path
-from re import _constants as sre, _parser
+from re import _compiler, _constants as sre, _parser
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iockit.defang import DEFAULT_RULES
-from iockit.patterns import _VARIANTS, ANCHORS, RUN, RUN_BODIES, default_entries
+from iockit.patterns import _VARIANTS, ANCHORS, FOLD, RUN, RUN_BODIES, RUN_LENGTHS, default_entries
 from iockit.types import IndicatorType
 
 from conftest import PLAN_SHAPED_PIECES
@@ -195,7 +195,9 @@ def test_expressions_start_with_a_character_class():
 
 def test_no_expression_can_match_empty():
     # Each type is one pass whose matches are apart, which an empty match
-    # starting where a longer one does would break.
+    # starting where a longer one does would break. The run pass reads a
+    # folded copy of the text, so its expression is bytes.
+    assert isinstance(RUN, bytes)
     assert _parser.parse(RUN).getwidth()[0] > 0
     for defanged in (True, False):
         for e in default_entries(defanged=defanged):
@@ -283,7 +285,8 @@ def test_every_anchor_and_the_run_pass_start_with_a_literal_or_class():
     # alternation has it test every character against a set, and a leading
     # assertion enters the matcher at every position. So each anchor
     # expression starts with its own literal, and the run pass with the
-    # class of the character before a run.
+    # fold of the character before a run and of the shortest run after it,
+    # which the engine searches for as one literal prefix.
     every_form = _VARIANTS[True][0] + _VARIANTS[True][1]
     text = "".join(f" {form}1" for form in every_form)
     for defanged, (dots, ats, _, _) in _VARIANTS.items():
@@ -300,7 +303,21 @@ def test_every_anchor_and_the_run_pass_start_with_a_literal_or_class():
                 m.start() for e in ANCHORS[defanged][t].expressions for m in re.finditer(e, text)
             )
             assert found == sorted(text.index(f" {form}1") + 1 for form in forms), (t, defanged)
-    assert _parser.parse(RUN)[0][0] is sre.IN
+    prefix = bytes(_compiler._get_literal_prefix(_parser.parse(RUN), 0)[0])
+    shortest = min(r.start for r in RUN_LENGTHS.values())
+    assert len(prefix) >= 1 + shortest
+    assert prefix[: 1 + shortest] == b" ".translate(FOLD) + b"0".translate(FOLD) * shortest
+
+
+def test_fold_marks_exactly_the_ascii_alphanumerics():
+    # The run pass's fold maps the 62 characters of [A-Za-z0-9] to one byte
+    # and every other byte to another, so a run of the folded text is a run
+    # of [A-Za-z0-9] in the text.
+    alnum = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+    run_byte = FOLD[alnum[0]]
+    assert len(FOLD) == 256
+    assert bytes(i for i in range(256) if FOLD[i] == run_byte) == alnum
+    assert len(set(FOLD)) == 2
 
 
 #: Each first-letter class and the case-insensitive letters it replaced.
