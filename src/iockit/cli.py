@@ -235,11 +235,12 @@ def _extract_lines(
 def _forked(extract, records: list, jobs: int):
     """Each result of ``map(extract, records)``, in order, from ``jobs``
     processes: record i is extracted in process i mod ``jobs``, which is
-    this one for 0 and a forked child otherwise. A child writes each result
-    to its own pipe as soon as it is done, so it can run several records
-    ahead of this process. Closing the generator closes every pipe, which
-    stops a child at its next write, and then reaps every child. A child
-    that stops before its last record is IockitError."""
+    this one for 0 and a forked child otherwise, so one job starts no
+    process and opens no pipe. A child writes each result to its own pipe
+    as soon as it is done, so it can run several records ahead of this
+    process. Closing the generator closes every pipe, which stops a child
+    at its next write, and then reaps every child. A child that stops
+    before its last record is IockitError."""
     children: list[tuple[int, io.BufferedReader]] = []
     stopped = None
     try:
@@ -317,14 +318,13 @@ def cmd_extract(args) -> int:
     extractor = _build_extractor(args)
     records, failed = _load_manifest(args.manifest)
     extract = functools.partial(_extract_lines, extractor, args.raw)
-    with _open_outputs(args.out) as (out,), contextlib.ExitStack() as stack:
-        # No more processes than documents: one document runs in this one.
-        jobs = min(args.jobs, len(records))
-        if jobs > 1 and hasattr(os, "fork"):
-            # A run that stops early (the reader closed stdout) reaps its children.
-            results = stack.enter_context(contextlib.closing(_forked(extract, records, jobs)))
-        else:
-            results = map(extract, records)
+    # No more processes than documents, and only this one without os.fork.
+    jobs = max(1, min(args.jobs, len(records))) if hasattr(os, "fork") else 1
+    with (
+        _open_outputs(args.out) as (out,),
+        # A run that stops early (the reader closed stdout) reaps its children.
+        contextlib.closing(_forked(extract, records, jobs)) as results,
+    ):
         for ok, text in results:
             if ok:
                 out.write(text)

@@ -8,20 +8,14 @@ Every expression follows the same discipline so matching stays linear on
 adversarial input under a backtracking engine:
 
 * repetition is always bounded (labels <= 63 chars, <= 126 labels, ...);
-* a cheap negative lookbehind on the character before a match guards its
-  start, so interior positions of a long token fail in O(1);
+* guards come first: every expression but regkey's starts with a cheap
+  negative lookbehind on the character before a match, so interior
+  positions of a long token fail in O(1), and then spells what the type
+  matches (``(?<![\\w-])(?i:CVE)-...``). No expression is scanned over a
+  whole text (see the scan plan below), so none is spelled to let the
+  engine skip start positions;
 * alternations never overlap with their following element;
-* the first element is a character class or a literal, and the guard
-  comes after it: ``C(?<!G.)R`` for ``(?<!G)CR``,
-  which is the same because ``C`` never matches a newline. The engine then
-  tests each start position against ``C`` in C code instead of entering
-  the matcher there, which it cannot do for an expression that starts with
-  a lookbehind. A ``(?i:...)`` first letter is spelled as a class
-  (``[Aa]``), as the engine does not take a case-insensitive prefix.
-  fqdn, email and onionAddress keep their guard first: their first class
-  holds nearly every character of prose (``[a-z2-7]`` most of it), so the
-  test would skip almost nothing and cost more than it saves. The DNS
-  labels of fqdn and email are possessive instead; no dot form starts
+* the DNS labels of fqdn and email are possessive; no dot form starts
   with a label character, so a label is always a maximal run and giving
   characters back never leads to a match.
 
@@ -63,10 +57,11 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   the match ``finditer`` would return, since a match starting earlier
   would hold an earlier anchor. Windows never overlap, so the scan stays
   linear however dense the anchors are.
-  fqdn and email, whose ``start`` keeps its guard first, find the window's
-  start backwards (``back``): one ``match`` of the reversed form of what a
-  match holds before its anchor, over the reversed window, gives the run of
-  whole units that ends at the anchor, and ``start`` is searched from the
+  fqdn and email, whose windows are long and whose ``start`` can hold at
+  nearly every character of prose, find the window's start backwards
+  (``back``): one ``match`` of the reversed form of what a match holds
+  before its anchor, over the reversed window, gives the run of whole
+  units that ends at the anchor, and ``start`` is searched from the
   run's first character instead of at every position of the reach. Every
   start lies inside that run, and the backward split of the run is forced,
   as no dot form ends in a local-part or label character.
@@ -108,10 +103,9 @@ _DOTS = _forms(".")
 _PLAIN_DOTS = _DOTS[:1]
 _ATS = _forms("@")
 _PLAIN_ATS = _ATS[:1]
-# A scheme after its first letter, which the URL expression matches as [hf],
-# and the forms of the colon between a scheme and its ``//``.
-_SCHEME = r"(?:(?<=h)(?:tt|xx)ps?|(?<=f)tps?)"
-_PLAIN_SCHEME = r"(?:(?<=h)ttps?|(?<=f)tps?)"
+# A URL scheme, and the forms of the colon between a scheme and its ``//``.
+_SCHEME = r"(?:h(?:tt|xx)ps?|ftps?)"
+_PLAIN_SCHEME = r"(?:https?|ftps?)"
 _COLONS = (":", "[:]")
 _PLAIN_COLONS = _COLONS[:1]
 
@@ -126,9 +120,6 @@ _LOCAL_CHAR = r"[A-Za-z0-9!#$%&'*+/=?^_`{|}~\-]"
 _LOCAL_UNITS = 64
 TLD = r"(?:[A-Za-z]{2,63}|[Xx][Nn]--[A-Za-z0-9-]{1,59})"
 HEX = "[0-9A-Fa-f]"
-# An alphanumeric run's left guard, placed after its first character.
-_RUN_GUARD_L = r"(?<![A-Za-z0-9].)"
-_RUN_GUARD_R = r"(?![A-Za-z0-9])"
 #: The base58 digits in value order.
 B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58 = f"[{B58_ALPHABET}]"
@@ -138,18 +129,20 @@ _B58 = f"[{B58_ALPHABET}]"
 _URL_PATH_CHAR = r"[\x00-\x08\x0e-\x1b!#-&(-;=?-_a-~\x7f]"
 
 # What the expressions of the anchored types match before their anchors.
-_IP4_HEAD = r"\d(?<![\w.\])].)\d{0,2}"
+_IP4_HEAD = r"(?<![\w.\])])\d{1,3}"
 _IP4CIDR_HEAD = rf"{_IP4_HEAD}(?:\.\d{{1,3}}){{3}}"
-_SSDEEP_HEAD = r"\d(?<![A-Za-z0-9:/+].)\d{0,17}"
+_SSDEEP_HEAD = r"(?<![A-Za-z0-9:/+])\d{1,18}"
 SSDEEP_CHAR = "[A-Za-z0-9/+]"
-_CVE_HEAD = r"[Cc](?<![\w-].)(?i:VE)"
-_ANALYTICS_HEAD = r"[Uu](?<![\w-].)(?i:A)"
+_CVE_HEAD = r"(?<![\w-])(?i:CVE)"
+_ASN_HEAD = r"(?<![\w-])(?i:A)"
+_ADSENSE_HEAD = r"(?<![\w-])(?i:(?:ca-)?pub)"
+_ANALYTICS_HEAD = r"(?<![\w-])(?i:UA)"
 ONION_NAME = "[a-z2-7]{16}(?:[a-z2-7]{40})?"
 _ONION_HEAD = rf"(?<![A-Za-z0-9.\-]){ONION_NAME}"
-_MAC_HEAD = rf"{HEX}(?<![A-Za-z0-9:].){HEX}"
+_MAC_HEAD = rf"(?<![A-Za-z0-9:]){HEX}{{2}}"
 _REGKEY_HIVE = (
-    r"[Hh](?i:KEY_(?:LOCAL_MACHINE|CURRENT_USER|CLASSES_ROOT|USERS|"
-    r"CURRENT_CONFIG|PERFORMANCE_DATA)|KLM|KCU|KCR|KU|KCC)"
+    r"(?i:HKEY_(?:LOCAL_MACHINE|CURRENT_USER|CLASSES_ROOT|USERS|"
+    r"CURRENT_CONFIG|PERFORMANCE_DATA)|HKLM|HKCU|HKCR|HKU|HKCC)"
 )
 _REGKEY_CHAR = r"[A-Za-z0-9_.\-{}()@~#$%^&+=!']"
 
@@ -174,22 +167,30 @@ def _spell(pieces) -> str:
     for cls, fewest, most in pieces:
         if most == 1:
             out += cls
-        elif most:
+        else:
             out += cls + (f"{{{most}}}" if fewest == most else f"{{{fewest},{most}}}")
     return out
 
 
-def _run_expression(pieces) -> str:
-    """A run type's expression: its first character, the left guard, the
-    rest of its body and the right guard."""
-    (cls, fewest, most), *rest = pieces
-    return f"{cls}{_RUN_GUARD_L}{_spell([(cls, fewest - 1, most - 1), *rest])}{_RUN_GUARD_R}"
+#: The body of each run type, fullmatched by what its expression matches.
+RUN_BODIES: dict[IndicatorType, str] = {t: _spell(p) for t, p in _RUN_PIECES.items()}
+
+#: The length of the runs each run type's body can fullmatch.
+RUN_LENGTHS: dict[IndicatorType, range] = {
+    t: range(sum(fewest for _, fewest, _ in p), sum(most for _, _, most in p) + 1)
+    for t, p in _RUN_PIECES.items()
+}
 
 
 def _either(forms: tuple[str, ...]) -> str:
     """An expression matching any one of the literal ``forms``."""
     escaped = "|".join(map(re.escape, forms))
     return escaped if len(forms) == 1 else f"(?:{escaped})"
+
+
+def _url_head(scheme: str, colons: tuple[str, ...]) -> str:
+    """What a URL matches before its ``//``: the guard, a scheme and a colon form."""
+    return rf"(?<![\w.\-@]){scheme}{_either(colons)}"
 
 
 def _sources(
@@ -203,31 +204,30 @@ def _sources(
         _T.IP4: rf"{_IP4_HEAD}(?:{dot}\d{{1,3}}){{3}}(?!\w)(?!{dot}\d)",
         _T.IP4CIDR: rf"{_IP4CIDR_HEAD}/\d{{1,2}}(?!\w)",
         _T.IP6: (
-            rf"[0-9A-Fa-f:](?<![\w:.].)(?:(?<=:)|(?<={HEX}){HEX}{{0,3}}:)"
-            rf"(?:{HEX}{{0,4}}:){{1,6}}"
+            rf"(?<![\w:.])(?:{HEX}{{0,4}}:){{2,7}}"
             rf"(?:{HEX}{{1,4}}|(?:\d{{1,3}}\.){{3}}\d{{1,3}})?(?![\w:])(?!\.\d)"
         ),
         _T.FQDN: rf"(?<!{_FQDN_GUARD}){domain_body}(?!\w)",
         _T.URL: (
-            rf"[hf](?<![\w.\-@].){scheme}{_either(colons)}//{host}(?::\d{{1,5}})?"
+            rf"{_url_head(scheme, colons)}//{host}(?::\d{{1,5}})?"
             rf"(?:[/?#]{_URL_PATH_CHAR}*)?"
         ),
         _T.EMAIL: (
             rf"(?<!{_EMAIL_GUARD}){local}{at}{domain_body}(?!\w)"
         ),
-        **{t: _run_expression(pieces) for t, pieces in _RUN_PIECES.items()},
+        **{t: rf"(?<![A-Za-z0-9]){body}(?![A-Za-z0-9])" for t, body in RUN_BODIES.items()},
         _T.SSDEEP: (
             rf"{_SSDEEP_HEAD}:{SSDEEP_CHAR}{{6,}}:{SSDEEP_CHAR}{{6,}}"
             r"(?![A-Za-z0-9:/+])"
         ),
         _T.CVE: rf"{_CVE_HEAD}-\d{{4}}-\d{{4,7}}(?![\w-])",
-        _T.ASN: r"[Aa](?<![\w-].)(?i:SN?)\d{1,10}(?![\w-])",
+        _T.ASN: rf"{_ASN_HEAD}(?i:SN?)\d{{1,10}}(?![\w-])",
         _T.ONION_ADDRESS: rf"{_ONION_HEAD}\.onion(?![A-Za-z0-9\-])",
         _T.MAC_ADDRESS: (
             rf"{_MAC_HEAD}[:-](?:{HEX}{{2}}[:-]){{4}}{HEX}{{2}}(?![A-Za-z0-9:-])"
         ),
         _T.REGKEY: rf"{_REGKEY_HIVE}(?:\\{_REGKEY_CHAR}{{1,128}}){{1,64}}",
-        _T.GOOGLE_ADSENSE: r"[CcPp](?<![\w-].)(?i:(?<=c)a-pub-|(?<=p)ub-)\d{16}(?![\w-])",
+        _T.GOOGLE_ADSENSE: rf"{_ADSENSE_HEAD}-\d{{16}}(?![\w-])",
         _T.GOOGLE_ANALYTICS: rf"{_ANALYTICS_HEAD}-\d{{4,10}}(?:-\d{{1,4}})?(?![\w-])",
     }
 
@@ -252,15 +252,6 @@ def default_entries(defanged: bool = True) -> list[PatternEntry]:
     sources = _sources(*_VARIANTS[defanged])
     return [PatternEntry(t, sources[t]) for t in sorted(sources)]
 
-
-#: The body of each run type, fullmatched by what its expression matches.
-RUN_BODIES: dict[IndicatorType, str] = {t: _spell(p) for t, p in _RUN_PIECES.items()}
-
-#: The length of the runs each run type's body can fullmatch.
-RUN_LENGTHS: dict[IndicatorType, range] = {
-    t: range(sum(fewest for _, fewest, _ in p), sum(most for _, _, most in p) + 1)
-    for t, p in _RUN_PIECES.items()
-}
 
 # What a folded text holds for each character of [A-Za-z0-9], and for every
 # other character.
@@ -329,7 +320,7 @@ def _anchors(
         _T.FQDN: Anchor(
             _occurrences(dots, _LABEL_START),
             63,
-            rf"{_LABEL_START}(?<!{_FQDN_GUARD}.){_LABEL_CHAR}{{0,62}}+\Z",
+            rf"(?<!{_FQDN_GUARD}){_LABEL_START}{_LABEL_CHAR}{{0,62}}+\Z",
             rf"{_LABEL_CHAR}{{0,63}}+",
         ),
         _T.EMAIL: Anchor(
@@ -346,22 +337,22 @@ def _anchors(
         _T.IP6: Anchor(
             (":(?:" + "|".join(rf"(?<=:{HEX}{{{n}}}.)" for n in range(5)) + ")",),
             9,
-            rf"[0-9A-Fa-f:](?<![\w:.].)(?:{HEX}{{0,3}}:)?{HEX}{{0,4}}\Z",
+            rf"(?<![\w:.]){HEX}{{0,4}}:{HEX}{{0,4}}\Z",
         ),
         _T.URL: Anchor(
             _occurrences(("//",)),
             len("hxxps") + max(map(len, colons)),
-            rf"[hf](?<![\w.\-@].){scheme}{_either(colons)}\Z",
+            rf"{_url_head(scheme, colons)}\Z",
         ),
         _T.SSDEEP: Anchor(_occurrences((":",), f"{SSDEEP_CHAR}{{6}}"), 18, rf"{_SSDEEP_HEAD}\Z"),
         _T.CVE: Anchor(_occurrences(("-",), r"\d{4}-\d"), 3, rf"{_CVE_HEAD}\Z"),
         # The S of AS or ASN: U+017F is the one other code point that
         # (?i:s) matches.
-        _T.ASN: Anchor(_occurrences(("S", "s", "\u017f"), r"[Nn]?\d"), 1, r"[Aa](?<![\w-].)\Z"),
+        _T.ASN: Anchor(_occurrences(("S", "s", "\u017f"), r"[Nn]?\d"), 1, rf"{_ASN_HEAD}\Z"),
         _T.GOOGLE_ADSENSE: Anchor(
             _occurrences(("-",), r"\d{16}"),
             len("ca-pub"),
-            r"[CcPp](?<![\w-].)(?i:(?<=c)a-pub|(?<=p)ub)\Z",
+            rf"{_ADSENSE_HEAD}\Z",
         ),
         _T.GOOGLE_ANALYTICS: Anchor(_occurrences(("-",), r"\d{4}"), 2, rf"{_ANALYTICS_HEAD}\Z"),
         _T.ONION_ADDRESS: Anchor(_occurrences((".onion",)), 56, rf"{_ONION_HEAD}\Z"),

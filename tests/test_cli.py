@@ -55,6 +55,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def library_lines(manifest):
+    """What ``extract`` writes for ``manifest``, built from the library."""
+    ex = Extractor.default()
+    lines = ""
+    for record in corpus.load_manifest(manifest):
+        text = record.read_text()
+        if record.format == "html":
+            text = corpus.extract_text(text)
+        for ind in ex.extract(text):
+            lines += json.dumps({"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value})
+            lines += "\n"
+    return lines
+
+
 def jlines(text):
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
@@ -118,17 +132,7 @@ class TestExtractCommand:
     def test_matches_library(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "extract", "--manifest", str(corpus_dir / "manifest.tsv"))
         assert code == 0
-        expected = []
-        ex = Extractor.default()
-        for record in corpus.load_manifest(corpus_dir / "manifest.tsv"):
-            text = record.read_text()
-            if record.format == "html":
-                text = corpus.extract_text(text)
-            for ind in ex.extract(text):
-                expected.append(
-                    json.dumps({"doc_id": record.doc_id, "type": ind.type.value, "value": ind.value})
-                )
-        assert out.splitlines() == expected
+        assert out == library_lines(corpus_dir / "manifest.tsv")
 
     def test_deterministic(self, corpus_dir, capsys):
         _, first, _ = run(capsys, "extract", "--manifest", str(corpus_dir / "manifest.tsv"))
@@ -184,6 +188,15 @@ class TestExtractCommand:
         monkeypatch.delattr(os, "fork")
         assert run(capsys, "extract", "--manifest", manifest, "--jobs", "3") == serial
         assert serial[0] == 0
+
+    def test_one_job_forks_nothing_and_opens_no_pipe(self, corpus_dir, capsys, monkeypatch):
+        calls = []
+        for name in ("fork", "pipe"):
+            monkeypatch.setattr(os, name, lambda name=name: calls.append(name))
+        manifest = corpus_dir / "manifest.tsv"
+        code, out, err = run(capsys, "extract", "--manifest", str(manifest), "--jobs", "1")
+        assert (code, err, calls) == (0, "", [])
+        assert out == library_lines(manifest)
 
     def test_workers_ahead_by_more_than_a_pipe_give_the_serial_output(self, tmp_path, capsys):
         # Each worker's output is several pipe buffers; it writes them while

@@ -1,5 +1,6 @@
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -612,6 +613,41 @@ def test_planned_scan_matches_reference_on_anchor_edges(name, edge):
     assert scan_spans(extractor, text) == reference_spans(extractor, text)
     assert extractor.extract_raw(text) == reference_extract_raw(extractor, text, validation)
     assert extractor.extract(text) == reference_extract(extractor, text, validation)
+
+
+def _with_match_only(defanged):
+    """``Extractor(defanged=defanged)``, and a second one whose anchored
+    passes can only ``match`` their expressions: each compiled expression
+    is replaced by an object whose only attribute is that pattern's
+    ``match``."""
+    patched = Extractor(defanged=defanged)
+    patched._passes = tuple(
+        (SimpleNamespace(match=pattern.match), *rest) for pattern, *rest in patched._passes
+    )
+    return Extractor(defanged=defanged), patched
+
+
+_MATCH_ONLY = {defanged: _with_match_only(defanged) for defanged in (True, False)}
+
+
+# The extractor only ever ``match``es an anchored type's expression, at the
+# positions its ``start`` finds, and never compiles a run type's: that is
+# why the expressions are spelled guard first and not for a whole-text scan.
+# A change that scans an expression over a whole text fails here with
+# AttributeError, and brings its own measurement of the spelling.
+@pytest.mark.parametrize("defanged", [True, False])
+def test_expressions_are_only_matched_on_planted_corpus(defanged, planted_corpus):
+    extractor, patched = _MATCH_ONLY[defanged]
+    for text in planted_corpus:
+        assert patched.extract_raw(text) == extractor.extract_raw(text)
+
+
+@pytest.mark.parametrize("defanged", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(text=plan_shaped)
+def test_expressions_are_only_matched_on_plan_shaped_text(defanged, text):
+    extractor, patched = _MATCH_ONLY[defanged]
+    assert patched.extract_raw(text) == extractor.extract_raw(text)
 
 
 #: Alphanumeric runs one short of the shortest run body (14) and at it (an

@@ -34,6 +34,22 @@ def fresh(code: str):
     return json.loads(done.stdout)
 
 
+def test_benchmark_setup_probe_runs_against_src():
+    # The probe loads data/patterns.tsv, whose every line must be a
+    # built-in expression, so a stale file fails it.
+    probe = Path(__file__).resolve().parents[1] / "perfbench" / "probe_setup.py"
+    done = subprocess.run(
+        [sys.executable, "-S", str(probe)], env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    timings = json.loads(done.stdout.splitlines()[-1])
+    assert {"setup_s", "cli.import.s", "extractor.build.s", "filtering.load_tranco.s"} <= set(
+        timings
+    )
+    assert Path(timings["module"]).resolve().is_relative_to(_SRC)
+
+
 def test_cli_import_loads_no_module_a_command_may_not_run():
     loaded = fresh("""
         import json, sys

@@ -1,5 +1,5 @@
-"""The built-in expressions: their spelling rules, checked against the
-guard-first spellings they replaced, and the Python floor those rules need."""
+"""The built-in expressions: their spelling rules, checked against an
+independent guard-first oracle, and the Python floor those rules need."""
 import re
 import sys
 import tomllib
@@ -18,8 +18,11 @@ from conftest import PLAN_SHAPED_PIECES
 T = IndicatorType
 
 # -- oracle: the guard-first spellings -----------------------------------------
-# Each expression as it was written before its guard moved after its first
-# character. The current spellings must find exactly the same matches.
+# Each expression written plainly, guard first, with no shared pieces: the
+# reference for the spellings that differ from it (fqdn and email's
+# possessive labels, macAddress's grouping, the hex and base58 classes,
+# regkey's grouping, the asn and googleAdsense heads). The built-in
+# spellings must find exactly the same matches.
 
 _DOT = r"(?:\.|\[\.\]|\(\.\)|\[dot\]|\(dot\))"
 _AT = r"(?:@|\[at\]|\(at\)|_at_)"
@@ -105,10 +108,15 @@ def _assert_same_matches(text):
 
 def test_oracle_covers_every_type_in_both_variants():
     assert len(PAIRS) == 2 * len(T)
-    # The oracle differs from what it checks everywhere but in the
-    # expressions whose guard stays first.
+    # The oracle is spelled as what it checks everywhere but in the
+    # expressions that share a piece or spell a class another way.
     same = {name for name, old, new in PAIRS if old.pattern == new.pattern}
-    assert same == {"onionAddress", "onionAddress/plain"}
+    assert same == {
+        f"{t.value}{variant}"
+        for t in (T.IP4, T.IP4CIDR, T.IP6, T.URL, T.SSDEEP, T.CVE, T.ONION_ADDRESS, T.IBAN,
+                  T.GOOGLE_ANALYTICS)
+        for variant in ("", "/plain")
+    }
 
 
 def test_same_matches_on_planted_corpus(planted_corpus):
@@ -117,7 +125,7 @@ def test_same_matches_on_planted_corpus(planted_corpus):
 
 
 _LABEL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
-#: Pieces on the edges of the new spellings: a first character and what
+#: Pieces on the edges of the built-in spellings: a first character and what
 #: stands before it, digit runs beside dot forms, labels at the 63-char
 #: limit, scheme and adsense prefixes, and the code points IGNORECASE
 #: equates with s and k.
@@ -133,7 +141,8 @@ _EDGE_PIECES = (
     "fe80::1:2", "::ffff:1.2.3.4", "0a:1b:2c:3d:4e:5f", "1536:abcdef:ghijkl",
 )
 #: Values one letter off a match: each is a match under a spelling that
-#: drops one of the first letter's lookbehinds, or takes one letter less.
+#: joins a scheme or adsense prefix to the wrong first letter, or takes one
+#: letter less.
 _NEAR_MISSES = (
     "htps://a.io", "fttp://b.io", "fxxp[:]//c[.]io", "cub-1234567890123456",
     "pa-pub-1234567890123456", "1x" + "a" * 32, "G82WEST12345698765432",
@@ -173,24 +182,20 @@ def test_same_matches_on_spelling_shaped_text(text):
 
 # -- structure ---------------------------------------------------------------
 
-#: Types whose guard stays first: their first class holds most of prose.
-GUARD_FIRST = {T.FQDN, T.EMAIL, T.ONION_ADDRESS}
-
-
-def _starts_with_a_charset(expression):
-    """True when the first element is one the engine tests start positions
-    against: a character class, a literal, or an alternation of literals."""
+def _starts_with_its_guard(expression):
+    """True when the first element is a negative lookbehind."""
     op, av = _parser.parse(expression).data[0]
-    if op is sre.BRANCH:
-        return all(alt.data and alt.data[0][0] is sre.LITERAL for alt in av[1])
-    return op in (sre.IN, sre.LITERAL)
+    return op is sre.ASSERT_NOT and av[0] == -1
 
 
-def test_expressions_start_with_a_character_class():
+def test_expressions_and_starts_begin_with_their_guard():
+    # Guards first: only regkey, which has no guard, starts with what it
+    # matches.
     for defanged in (True, False):
-        entries = default_entries(defanged=defanged)
-        others = {e.type for e in entries if not _starts_with_a_charset(e.expression)}
-        assert others == GUARD_FIRST, defanged
+        for e in default_entries(defanged=defanged):
+            assert _starts_with_its_guard(e.expression) == (e.type != T.REGKEY), (e.type, defanged)
+        for t, anchor in ANCHORS[defanged].items():
+            assert _starts_with_its_guard(anchor.start) == (t != T.REGKEY), (t, defanged)
 
 
 def test_no_expression_can_match_empty():
@@ -220,8 +225,8 @@ def test_every_anchor_reach_is_the_longest_start():
             assert anchor.reach == _parser.parse(anchor.start).getwidth()[1], (t, defanged)
 
 
-#: Types whose window start is found backwards: the guard-first types but
-#: onionAddress, whose windows hold little more than the name itself.
+#: Types whose window start is found backwards: those whose windows are
+#: long and whose start can hold at nearly every character of prose.
 FOUND_BACKWARDS = {T.FQDN, T.EMAIL}
 #: Characters a match holds before its anchor, for the types found backwards.
 _RUN_CHARS = {T.FQDN: "a_-9", T.EMAIL: "a+.9"}
@@ -318,26 +323,6 @@ def test_fold_marks_exactly_the_ascii_alphanumerics():
     assert len(FOLD) == 256
     assert bytes(i for i in range(256) if FOLD[i] == run_byte) == alnum
     assert len(set(FOLD)) == 2
-
-
-#: Each first-letter class and the case-insensitive letters it replaced.
-_LETTER_CLASSES = {
-    "[Aa]": "(?i:a)",
-    "[Cc]": "(?i:c)",
-    "[CcPp]": "(?i:[cp])",
-    "[Hh]": "(?i:h)",
-    "[Uu]": "(?i:u)",
-}
-
-
-def test_first_letter_classes_accept_what_ignorecase_did():
-    firsts = {e.expression[: e.expression.find("]") + 1] for e in default_entries()}
-    assert firsts >= set(_LETTER_CLASSES)
-    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
-    for letter_class, ignorecase in _LETTER_CLASSES.items():
-        assert set(re.findall(letter_class, every_code_point)) == set(
-            re.findall(ignorecase, every_code_point)
-        ), letter_class
 
 
 def test_python_floor_supports_possessive_quantifiers():
