@@ -457,14 +457,16 @@ def cmd_compare(args) -> int:
     return 1 if malformed else 0
 
 
-def _finite_float(text: str) -> float:
-    """A finite float; argparse reports anything else as a usage error."""
+def _non_negative_float(text: str) -> float:
+    """A finite float of at least 0; argparse reports anything else as a usage error."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative number: {text!r}")
     return value
 
 
@@ -507,13 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("--tranco", required=True, help="popularity snapshot (rank,domain CSV)")
     p_filter.add_argument(
         "--min-origin-docs",
-        type=int,
+        type=_positive_int,
         default=argparse.SUPPRESS,
         help="per-origin document threshold for rule 2 (default: 20)",
     )
     p_filter.add_argument(
         "--doc-freq-threshold",
-        type=_finite_float,
+        type=_non_negative_float,
         default=argparse.SUPPRESS,
         help="document-frequency threshold for rule 4 (default: 0.90)",
     )

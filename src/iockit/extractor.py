@@ -14,7 +14,7 @@ from .patterns import (
     ANCHORS, FOLD, RUN, RUN_BODIES, RUN_LENGTHS, PatternEntry, default_entries,
 )
 from .types import Indicator, IndicatorType, RawMatch
-from .validators import DEFAULT_TLDS, load_tlds, validator
+from .validators import DEFAULT_TLD_PATH, DEFAULT_TLDS, load_tlds, validator
 
 #: Types whose matches may pick up trailing prose punctuation that is
 #: stripped before rearming (span is shrunk accordingly, never grown).
@@ -252,30 +252,21 @@ class Extractor:
 
 
 def load_catalog(pattern_file: str | Path, tld_file: str | Path) -> Extractor:
-    """An extractor of the types listed in a ``type<TAB>regex`` file, each
-    line the built-in defang-broadened entry of its type, with the TLD
-    snapshot of ``tld_file``.
+    """An extractor of the types named in ``pattern_file``, one canonical
+    type name per line, each with its built-in defang-broadened expression,
+    and the TLD snapshot of ``tld_file``.
 
     Nothing in the package calls it: it is kept, with ``data/patterns.tsv``
     and the two path functions below, only while the benchmark's set-up
     probe calls it to time building an extractor.
     """
-    built_in = {(e.type, e.expression) for e in default_entries()}
     types = set()
     for line_no, line in read_lines(pattern_file):
-        type_name, sep, expression = line.partition("\t")
-        if not sep or not expression.strip():
-            message = f"expected 'type<TAB>regex', got {line!r}"
-            raise MalformedLineError(pattern_file, line_no, message)
         try:
-            ind_type = IndicatorType(type_name.strip())
+            types.add(IndicatorType(line.strip()))
         except ValueError:
-            message = f"unknown indicator type {type_name.strip()!r}"
+            message = f"unknown indicator type {line.strip()!r}"
             raise MalformedLineError(pattern_file, line_no, message) from None
-        if (ind_type, expression) not in built_in:
-            message = f"not the built-in {ind_type} expression"
-            raise MalformedLineError(pattern_file, line_no, message)
-        types.add(ind_type)
     return Extractor(types, tlds=load_tlds(tld_file))
 
 
@@ -284,7 +275,7 @@ def default_catalog_path() -> Path:
 
 
 def default_tld_path() -> Path:
-    return DATA / "tlds.txt"
+    return DEFAULT_TLD_PATH
 
 
 def extract_raw(text: str) -> list[RawMatch]:

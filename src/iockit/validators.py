@@ -4,9 +4,9 @@ Validation runs after rearming, so none of these functions need to know
 about defang transformations. A value must be ASCII. Checksummed types
 (bitcoin, iban) do real arithmetic; lookup types (fqdn, url, email) consult
 the TLD snapshot; cve, regkey, googleAdsense and googleAnalytics have no
-check beyond ASCII; md5, sha1, sha256, sha512, ethereum and monero have
-the shapes of their run bodies, ``patterns.RUN_BODIES``; everything else is
-structural, on the shapes of ``patterns`` and ``normalize``. ip6 is one
+check beyond ASCII; every other run type has the shape of its run body,
+``patterns.RUN_BODIES``; everything else is structural, on the shapes of
+``patterns`` and ``normalize``. ip6 is one
 expression that accepts what ``ipaddress.IPv6Address`` accepts, scope IDs
 included, so validation imports no ``ipaddress``. Two accept
 more than their expressions: IBAN check digits are ``\\d``, and ssdeep
@@ -35,7 +35,9 @@ def load_tlds(path: str | Path) -> frozenset[str]:
     return frozenset(line.strip().lower() for _, line in read_lines(path))
 
 
-DEFAULT_TLDS: frozenset[str] = load_tlds(DATA / "tlds.txt")
+#: The shipped TLD snapshot.
+DEFAULT_TLD_PATH = DATA / "tlds.txt"
+DEFAULT_TLDS: frozenset[str] = load_tlds(DEFAULT_TLD_PATH)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +243,11 @@ _SSDEEP_RE = re.compile(rf"\d{{1,18}}:{SSDEEP_CHAR}+:{SSDEEP_CHAR}+\Z")
 _ONION_RE = re.compile(rf"{ONION_NAME}\.onion\Z")
 
 #: The check of every type on a rearmed ASCII value, except the lookup
-#: types. A run type without a checksum fullmatches its run body; str.isascii
-#: marks a type with no other check.
+#: types. Every run type fullmatches its run body, unless a checksum below
+#: (bitcoin, iban) replaces that check; str.isascii marks a type with no
+#: other check.
 _VALIDATORS: dict[IndicatorType, Callable[[str], object]] = {
-    t: re.compile(RUN_BODIES[t]).fullmatch
-    for t in (_T.MD5, _T.SHA1, _T.SHA256, _T.SHA512, _T.ETHEREUM, _T.MONERO)
+    t: re.compile(body).fullmatch for t, body in RUN_BODIES.items()
 } | {
     _T.IP4: is_valid_ip4,
     _T.IP4CIDR: is_valid_ip4cidr,

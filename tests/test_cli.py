@@ -1023,6 +1023,33 @@ def test_doc_freq_threshold_must_be_finite(corpus_dir, tranco_file, capsys, valu
     assert err.endswith(f"error: argument --doc-freq-threshold: not a finite number: {value!r}\n")
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--min-origin-docs", "0", "not a positive integer"),
+        ("--min-origin-docs", "-3", "not a positive integer"),
+        ("--doc-freq-threshold", "-0.5", "not a non-negative number"),
+    ],
+    ids=["origin-docs-zero", "origin-docs-negative", "threshold-negative"],
+)
+def test_filter_threshold_out_of_range_is_a_usage_error(
+    corpus_dir, tranco_file, capsys, option, value, message
+):
+    # Each of these values would make every indicator generic.
+    argv = _argv_writing_to("filter", corpus_dir, tranco_file, corpus_dir / "out")
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, f"{option}={value}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: iockit filter")
+    assert err.endswith(f"error: argument {option}: {message}: {value!r}\n")
+
+
+def test_doc_freq_threshold_zero_is_valid(corpus_dir, tranco_file, capsys):
+    argv = _argv_writing_to("filter", corpus_dir, tranco_file, corpus_dir / "out")
+    assert run(capsys, *argv, "--doc-freq-threshold=0")[0] == 0
+
+
 def test_filter_help_names_the_blocklist_defaults(capsys):
     # The parser leaves the thresholds unset, so build_blocklist's defaults
     # apply; its help must name the same values.

@@ -17,16 +17,13 @@ from iockit.extractor import (
     load_catalog,
 )
 from iockit.normalize import normalize
-from iockit.patterns import _URL_PATH_CHAR, ANCHORS, RUN_BODIES, default_entries
+from iockit.patterns import _URL_PATH_CHAR, ANCHORS, RUN_BODIES
 from iockit.types import Indicator, IndicatorType, RawMatch
 from iockit.validators import load_tlds, validate
 
 from conftest import NON_ASCII_NEIGHBOURS, plan_shaped, plant_text, render
 
 T = IndicatorType
-
-#: The shipped catalog line of each type: its built-in defang-broadened expression.
-BUILT_IN_LINE = {e.type: f"{e.type.value}\t{e.expression}" for e in default_entries()}
 
 
 def types_of(matches):
@@ -184,68 +181,22 @@ class TestCatalogLoading:
         ex = load_catalog(default_catalog_path(), default_tld_path())
         assert ex.types == frozenset(T)
 
-    def test_shipped_catalog_matches_builder(self):
-        shipped = load_catalog(default_catalog_path(), default_tld_path())
-        built = {(e.type, e.expression) for e in default_entries(defanged=True)}
-        shipped_pairs = {(e.type, e.expression) for e in shipped.entries}
-        # On a mismatch, list each differing type as the line the builder
-        # would write, ready to paste into data/patterns.tsv.
-        differing = sorted({t for t, _ in shipped_pairs ^ built}, key=lambda t: t.value)
-        assert shipped_pairs == built, "data/patterns.tsv differs from default_entries():\n" + (
-            "\n".join(BUILT_IN_LINE[t] for t in differing)
-        )
-
-    @pytest.mark.parametrize(
-        "expression",
-        ["[0-9a-f]{32}", BUILT_IN_LINE[T.SHA1].split("\t")[1]],
-        ids=["custom", "another-type"],
-    )
-    def test_non_built_in_expression_rejected_with_line(self, tmp_path, expression):
-        path = tmp_path / "patterns.tsv"
-        path.write_text(f"# header\n{BUILT_IN_LINE[T.SHA1]}\nmd5\t{expression}\n")
-        with pytest.raises(MalformedLineError) as err:
-            load_catalog(path, default_tld_path())
-        assert (err.value.path, err.value.line_no) == (str(path), 3)
-        assert str(err.value) == f"{path}:3: not the built-in md5 expression"
-
-    def test_bad_regex_reports_line_number(self, tmp_path):
-        # A bad regex is not a built-in expression; it is reported at its
-        # line without being compiled.
-        built_in = [BUILT_IN_LINE[t] for t in (T.MD5, T.SHA1, T.SHA256, T.SHA512, T.CVE)]
-        lines = ["# header"] + built_in
-        path = tmp_path / "patterns.tsv"
-        path.write_text("\n".join(lines + ["url\t(unclosed"]))
-        with pytest.raises(MalformedLineError) as err:
-            load_catalog(path, default_tld_path())
-        assert err.value.line_no == 7
-        assert err.value.path == str(path)
-        assert str(err.value) == f"{path}:7: not the built-in url expression"
-
-    @pytest.mark.parametrize(
-        "expression", ["a{99999999999}", "(" * 1000 + ")" * 1000], ids=["overflow", "recursion"]
-    )
-    def test_uncompilable_expression_reported_with_line(self, tmp_path, expression):
-        path = tmp_path / "patterns.tsv"
-        path.write_text(f"{BUILT_IN_LINE[T.MD5]}\nsha1\t{expression}\n")
-        with pytest.raises(MalformedLineError) as err:
-            load_catalog(path, default_tld_path())
-        assert (err.value.path, err.value.line_no) == (str(path), 2)
-        assert str(err.value) == f"{path}:2: not the built-in sha1 expression"
-
     def test_not_utf8_rejected_with_line(self, tmp_path):
         path = tmp_path / "patterns.tsv"
-        path.write_bytes(BUILT_IN_LINE[T.MD5].encode() + b"\r\n\xe9\n")
+        path.write_bytes(b"md5\r\n\xe9\n")
         with pytest.raises(MalformedLineError) as err:
             load_catalog(path, default_tld_path())
         assert str(err.value) == f"{path}:2: not UTF-8"
 
     def test_unknown_type_rejected_with_line(self, tmp_path):
+        # A line in the old ``type<TAB>regex`` form names no type either.
         path = tmp_path / "patterns.tsv"
-        path.write_text(f"{BUILT_IN_LINE[T.MD5]}\nyara\trule .*")
-        with pytest.raises(MalformedLineError) as err:
-            load_catalog(path, default_tld_path())
-        assert err.value.line_no == 2
-        assert err.value.path == str(path)
+        for line in ("yara", "md5\t(?<![A-Za-z0-9])[0-9A-Fa-f]{32}(?![A-Za-z0-9])"):
+            path.write_text(f"# header\nmd5\n{line}\n")
+            with pytest.raises(MalformedLineError) as err:
+                load_catalog(path, default_tld_path())
+            assert (err.value.path, err.value.line_no) == (str(path), 3)
+            assert str(err.value) == f"{path}:3: unknown indicator type {line!r}"
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(MissingFileError):
@@ -255,7 +206,7 @@ class TestCatalogLoading:
 
     def test_subset_catalog(self, tmp_path):
         path = tmp_path / "subset.tsv"
-        path.write_text(f"{BUILT_IN_LINE[T.MD5]}\n{BUILT_IN_LINE[T.SHA256]}\n")
+        path.write_text("md5\nsha256\n")
         ex = load_catalog(path, default_tld_path())
         assert ex.types == {T.MD5, T.SHA256}
         text = "ip 1.2.3.4 md5 " + "ab" * 16

@@ -35,8 +35,8 @@ def fresh(code: str):
 
 
 def test_benchmark_setup_probe_runs_against_src():
-    # The probe loads data/patterns.tsv, whose every line must be a
-    # built-in expression, so a stale file fails it.
+    # The probe loads data/patterns.tsv, whose every line must name a
+    # type, so a file with any other line fails it.
     probe = Path(__file__).resolve().parents[1] / "perfbench" / "probe_setup.py"
     done = subprocess.run(
         [sys.executable, "-S", str(probe)], env={**os.environ, "PYTHONPATH": _SRC},
