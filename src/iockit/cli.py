@@ -98,35 +98,37 @@ def _load_manifest(path) -> tuple[list[corpus.DocumentRecord], bool]:
 #: starts at an index of a str; StopIteration or ValueError where none does.
 _scan = json.decoder.JSONDecoder().scan_once
 #: The whitespace JSON allows around a value.
-_JSON_SPACE = b" \t\n\r"
+_JSON_SPACE = " \t\n\r"
+#: The fault of JSON nested deeper than the recursion limit.
+_TOO_DEEP = "bad JSON: nested too deeply"
 
 
 def _json_object(line: bytes) -> dict | None:
     """The JSON object of one line, exactly as ``json.loads`` reads it, or
     None for a line that ``str.isspace`` calls blank; ValueError says why
-    it is neither."""
-    # A line that holds an object between JSON whitespace, the common case,
-    # is read by the scanner alone.
-    try:
-        text = line.strip(_JSON_SPACE).decode("utf-8")
-        value, end = _scan(text, 0)
-        if end == len(text) and isinstance(value, dict):
-            return value
-    except (StopIteration, ValueError):
-        pass
+    it is neither. The scanner alone reads the decoded line stripped of
+    JSON whitespace, as ``json.loads`` does; ``json.loads`` runs only to
+    name the fault of a line that holds no object."""
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError:
         raise ValueError("not UTF-8") from None
-    if text.isspace():
-        return None
+    body = text.strip(_JSON_SPACE)
     try:
-        value = json.loads(text)
+        try:
+            value, end = _scan(body, 0)
+            if end == len(body) and isinstance(value, dict):
+                return value
+        except (StopIteration, ValueError):
+            pass
+        if text.isspace():
+            return None
+        json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON: {exc.msg} at column {exc.colno}") from None
-    if not isinstance(value, dict):
-        raise ValueError("not a JSON object")
-    return value
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+    raise ValueError("not a JSON object")
 
 
 class _IndicatorLines:
@@ -416,6 +418,8 @@ def _load_profiles(path: str) -> list[harness.ToolProfile]:
     except json.JSONDecodeError as exc:
         message = f"bad JSON: {exc.msg} at column {exc.colno}"
         raise MalformedLineError(path, exc.lineno, message) from None
+    except RecursionError:
+        raise IockitError(f"{path}: {_TOO_DEEP}") from None
     if not isinstance(data, dict) or not all(
         isinstance(names, list) and all(isinstance(name, str) for name in names)
         for names in data.values()
@@ -446,6 +450,12 @@ def cmd_compare(args) -> int:
     missing = tools_seen - {p.name for p in profiles}
     if missing:
         raise IockitError(f"{args.profiles}: no profile for tools: {', '.join(sorted(missing))}")
+    if args.min_tool_support > len(profiles):
+        # Every type would be hidden from the report.
+        raise IockitError(
+            f"{args.profiles}: --min-tool-support {args.min_tool_support} is more than "
+            f"the {len(profiles)} profiled tools"
+        )
     docs = sorted({o.doc_id for o in outputs})
     counters = harness.compare(profiles, outputs, docs)
     report = harness.build_report(counters, profiles, min_tool_support=args.min_tool_support)
@@ -534,9 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument(
         "--min-tool-support",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="hide types supported by fewer tools from the report",
+        help="hide types supported by fewer tools from the report (at most the profiled tools)",
     )
     p_compare.add_argument("--out", help="JSON report file (default: stdout)")
     p_compare.add_argument("--csv", help="also write a CSV table to this path")

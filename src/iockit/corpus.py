@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import HashMismatchError, MalformedLineError, MissingFileError, read_lines
+from .errors import HashMismatchError, IockitError, MalformedLineError, MissingFileError, read_lines
 
 FORMATS = ("text", "html")
 
@@ -60,44 +60,45 @@ def load_manifest(path: str | Path, strict: bool = True):
     one record with merged origins; a doc_id listed with two paths keeps
     the first. No document is opened: a missing file is found with
     ``stat``, and a document's hash is checked only when ``read_text``
-    reads it. An error is raised (strict mode) or returned in the error
-    list (``strict=False`` returns ``(records, errors)``).
+    reads it. Each bad line's error, a document path the OS rejects
+    included, is raised (strict mode) or returned in the error list
+    (``strict=False`` returns ``(records, errors)``).
     """
     path = Path(path)
     base = path.parent
     by_id: dict[str, DocumentRecord] = {}
-    errors: list[Exception] = []
-
-    def fail(exc: Exception):
-        if strict:
-            raise exc
-        errors.append(exc)
-
+    errors: list[IockitError] = []
     for line_no, line in read_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 4:
-            fail(MalformedLineError(path, line_no, f"expected 4 tab-separated fields, got {len(fields)}"))
-            continue
-        doc_id, rel_path, origin, fmt = (f.strip() for f in fields)
-        doc_id = doc_id.lower()
-        if fmt not in FORMATS:
-            fail(MalformedLineError(path, line_no, f"unknown format {fmt!r}"))
-            continue
-        if "\0" in rel_path:
-            fail(MalformedLineError(path, line_no, "document path holds a NUL character"))
-            continue
-        # pathlib keeps an absolute path as it is; nothing is resolved, so
-        # messages name the path as the manifest gives it.
-        doc_path = base / rel_path
-        if doc_id in by_id:
-            existing = by_id[doc_id]
-            if origin not in existing.origins:
-                by_id[doc_id] = existing._replace(origins=existing.origins + (origin,))
-            continue
-        if not doc_path.is_file():
-            fail(MissingFileError(doc_path))
-            continue
-        by_id[doc_id] = DocumentRecord(doc_id, doc_path, (origin,), fmt)
+        try:
+            fields = line.split("\t")
+            if len(fields) != 4:
+                message = f"expected 4 tab-separated fields, got {len(fields)}"
+                raise MalformedLineError(path, line_no, message)
+            doc_id, rel_path, origin, fmt = (f.strip() for f in fields)
+            doc_id = doc_id.lower()
+            if fmt not in FORMATS:
+                raise MalformedLineError(path, line_no, f"unknown format {fmt!r}")
+            if "\0" in rel_path:
+                raise MalformedLineError(path, line_no, "document path holds a NUL character")
+            if doc_id in by_id:
+                existing = by_id[doc_id]
+                if origin not in existing.origins:
+                    by_id[doc_id] = existing._replace(origins=existing.origins + (origin,))
+                continue
+            # pathlib keeps an absolute path as it is; nothing is resolved, so
+            # messages name the path as the manifest gives it.
+            doc_path = base / rel_path
+            try:
+                found = doc_path.is_file()
+            except OSError as exc:
+                raise MalformedLineError(path, line_no, f"document path: {exc.strerror}") from None
+            if not found:
+                raise MissingFileError(doc_path)
+            by_id[doc_id] = DocumentRecord(doc_id, doc_path, (origin,), fmt)
+        except IockitError as exc:
+            if strict:
+                raise
+            errors.append(exc)
 
     records = list(by_id.values())
     if strict:
@@ -125,10 +126,6 @@ class _TextCollector:
         if tag in _SUPPRESSED:
             self._suppress = max(0, self._suppress - 1)
         elif tag in _BLOCK:
-            self._pending_break = True
-
-    def handle_startendtag(self, tag, attrs):
-        if tag in _BLOCK:
             self._pending_break = True
 
     def handle_data(self, data):
@@ -195,8 +192,10 @@ _RAW_TEXT_END = {tag: re.compile(rf"</\s*{tag}\s*>", re.I) for tag in ("script",
 def _feed_subset(parser: _TextCollector, html: str) -> bool:
     """Drive ``parser``'s callbacks over ``html`` as ``HTMLParser.feed``
     and ``close`` would, or return False on markup outside ``_TOKEN``'s
-    subset; the parser must then be discarded. Attributes are not parsed:
-    the callbacks get none."""
+    subset; the parser must then be discarded. A self-closing tag is a
+    start tag then an end tag, as ``HTMLParser`` makes it. The raw text of
+    a script or style element, which the collector suppresses, is
+    skipped. Attributes are not parsed: the callbacks get none."""
     # Imported here: only HTML documents need it, and they come this way.
     from html import unescape
 
@@ -211,21 +210,16 @@ def _feed_subset(parser: _TextCollector, html: str) -> bool:
         pos = m.end()
         if start:
             tag = start.lower()
-            if slash:
-                parser.handle_startendtag(tag, [])
-                continue
             parser.handle_starttag(tag, [])
-            raw_end = _RAW_TEXT_END.get(tag)
-            if raw_end is None:
-                continue
-            close = raw_end.search(html, pos)
-            # HTMLParser takes a non-ASCII match (`</ſcript>`) as text.
-            if close is None or not close.group().isascii():
-                return False
-            if close.start() > pos:
-                parser.handle_data(html[pos : close.start()])
-            parser.handle_endtag(tag)
-            pos = close.end()
+            raw_end = None if slash else _RAW_TEXT_END.get(tag)
+            if raw_end is not None:
+                close = raw_end.search(html, pos)
+                # HTMLParser takes a non-ASCII match (`</ſcript>`) as text.
+                if close is None or not close.group().isascii():
+                    return False
+                pos = close.end()
+            if slash or raw_end is not None:
+                parser.handle_endtag(tag)
         elif end_tag:
             parser.handle_endtag(end_tag.lower())
     return True

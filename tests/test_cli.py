@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -13,6 +14,8 @@ from iockit.extractor import Extractor
 from iockit.types import Indicator, IndicatorType, RawMatch
 
 T = IndicatorType
+#: JSON nested deeper than the recursion limit.
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
 
 
 def add_doc(directory, name, content, origin="rss:feed.example.com", fmt="text"):
@@ -647,6 +650,8 @@ class TestFilterCommand:
             ('{"doc_id": "x", "value": "1.1.1.1"}', "missing key 'type'"),
             ('{"type": "ip4", "value": "1.1.1.1"}', "missing key 'doc_id'"),
             ('{"doc_id": "x", "type": "ip4", "value": 7}', "'value' is not a string"),
+            pytest.param('{"doc_id": "x", "type": "ip4", "value": ' + TOO_DEEP + "}",
+                         "bad JSON: nested too deeply", id="nested-too-deeply"),
         ],
     )
     def test_malformed_line_reported_with_location(
@@ -854,6 +859,17 @@ class TestCompareCommand:
         assert content.startswith("indicator,count")
         assert "ALL," in content
 
+    def test_outputs_dir_a_file_exit_2(self, tmp_path, capsys):
+        not_dir = tmp_path / "a.jsonl"
+        not_dir.write_text(tool_line("a", "d1", "ip4", "1.1.1.1") + "\n")
+        profiles = tmp_path / "profiles.json"
+        self.write_profiles(profiles, {"a": ["ip4"], "b": ["ip4"]})
+        code, out, err = run(
+            capsys, "compare", "--outputs-dir", str(not_dir), "--profiles", str(profiles)
+        )
+        assert code == 2 and out == ""
+        assert err == f"iockit: {not_dir}: not a directory\n"
+
     def test_non_utf8_line_reported_and_skipped(self, tmp_path, capsys):
         out_dir = tmp_path / "outputs"
         self.write_outputs(out_dir, {
@@ -899,6 +915,8 @@ class TestCompareCommand:
             (json.dumps({"tool": "a", "doc_id": "d1", "error": ""}), "missing key 'type'"),
             (json.dumps({"tool": "a", "doc_id": 1, "type": "ip4", "value": "1.1.1.1"}),
              "'doc_id' is not a string"),
+            pytest.param('{"tool": "a", "doc_id": "d1", "type": "ip4", "value": ' + TOO_DEEP + "}",
+                         "bad JSON: nested too deeply", id="nested-too-deeply"),
         ],
     )
     def test_malformed_line_reported_with_location(self, tmp_path, capsys, line, reason):
@@ -914,6 +932,7 @@ class TestCompareCommand:
         )
         assert code == 1
         assert f"{out_dir / 'a.jsonl'}:2: {reason}" in err
+        assert "Traceback" not in err
         report = json.loads(out)
         assert report["tools"]["a"]["types"]["ip4"]["tp"] == 1
 
@@ -987,6 +1006,9 @@ UNUSABLE_INPUTS = {
     "tranco rank not ASCII": (
         "filter", "--tranco", "\u00b2,example.com\n".encode(), 2, ":1: expected 'rank,domain'"),
     "profiles bad JSON": ("compare", "--profiles", b'{"a":\n [', 2, ":2: bad JSON"),
+    "profiles nested too deeply": (
+        "compare", "--profiles", b'{"a": ' + TOO_DEEP.encode() + b"}", 2,
+        ": bad JSON: nested too deeply"),
     "profiles not UTF-8": ("compare", "--profiles", b'{"a": ["\xff"]}', 2, ": not UTF-8"),
     "profiles a list": ("compare", "--profiles", b'["ip4"]', 2, ": expected an object"),
     "profiles a number": ("compare", "--profiles", b'{"a": 3}', 2, ": expected an object"),
@@ -1058,6 +1080,58 @@ def test_filter_help_names_the_blocklist_defaults(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"rule 2 (default: {filtering.DEFAULT_MIN_ORIGIN_DOCS})" in help_text
     assert f"rule 4 (default: {filtering.DEFAULT_DOC_FREQ_THRESHOLD:.2f})" in help_text
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "99"])
+def test_min_tool_support_out_of_range_exit_2(corpus_dir, tranco_file, capsys, value):
+    # Below 1 a value acted as 1; above the two profiled tools it hid every
+    # type from the report.
+    argv = [*_argv_writing_to("compare", corpus_dir, tranco_file, corpus_dir / "out"),
+            f"--min-tool-support={value}"]
+    if int(value) < 1:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: iockit compare")
+        assert err.endswith(
+            f"error: argument --min-tool-support: not a positive integer: {value!r}\n"
+        )
+        return
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"iockit: {corpus_dir / 'profiles.json'}: --min-tool-support {value} is more than "
+        "the 2 profiled tools\n"
+    )
+
+
+def test_min_tool_support_of_every_profiled_tool_is_valid(corpus_dir, tranco_file, capsys):
+    argv = _argv_writing_to("compare", corpus_dir, tranco_file, corpus_dir / "out")
+    code, out, _ = run(capsys, *argv, "--min-tool-support=2")
+    assert code == 0
+    assert json.loads(out)["type_counts"] == {"ip4": 1}
+
+
+@pytest.mark.parametrize("command", ["extract", "filter"])
+def test_document_path_the_os_rejects_is_reported_at_its_line(
+    corpus_dir, tranco_file, capsys, command
+):
+    # stat fails with ENAMETOOLONG on a name of 5,000 bytes. The line is
+    # skipped, and the manifest's good documents are still run.
+    argv = _argv_writing_to(command, corpus_dir, tranco_file, corpus_dir / "out")
+    _, good_out, good_err = run(capsys, *argv)
+    good_file = (corpus_dir / "out").read_text()
+    assert good_file or command == "filter"
+    manifest = corpus_dir / "manifest.tsv"
+    manifest.write_text(f"{'0' * 64}\t{'x' * 5000}\trss:a\ttext\n" + manifest.read_text())
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == good_out
+    assert err == (
+        f"iockit: {manifest}:1: document path: {os.strerror(errno.ENAMETOOLONG)}\n" + good_err
+    )
+    assert (corpus_dir / "out").read_text() == good_file
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "x"])

@@ -1,4 +1,7 @@
+import errno
 import hashlib
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,21 @@ class TestManifest:
         assert [str(e) for e in errors] == [
             f"{tmp_path / 'manifest.tsv'}:1: document path holds a NUL character"
         ]
+
+    def test_document_path_the_os_rejects_is_a_malformed_line(self, tmp_path):
+        # A name of 5,000 bytes is past the file system's limit, so stat fails
+        # with ENAMETOOLONG instead of finding no file.
+        doc_id, name = write_doc(tmp_path, "doc.txt", "x")
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(
+            f"{'0' * 64}\t{'x' * 5000}\trss:a\ttext\n{doc_id}\t{name}\trss:a\ttext\n"
+        )
+        expected = f"{manifest}:1: document path: {os.strerror(errno.ENAMETOOLONG)}"
+        records, errors = load_manifest(manifest, strict=False)
+        assert [r.doc_id for r in records] == [doc_id]
+        assert [str(e) for e in errors] == [expected]
+        with pytest.raises(MalformedLineError, match=re.escape(expected)):
+            load_manifest(manifest)
 
     def test_unknown_format(self, tmp_path):
         doc_id, name = write_doc(tmp_path, "doc.pdf", "x")

@@ -146,6 +146,11 @@ class TestVote:
         with pytest.raises(UnknownToolError):
             compare([profile("a", T.IP4)], [output("ghost", "d1", IP)], ["d1"])
 
+    def test_duplicate_profile_names_rejected(self):
+        profiles = [profile("a", T.IP4), profile("a", T.FQDN)]
+        with pytest.raises(ValueError, match="duplicate tool profile names"):
+            compare(profiles, [output("a", "d1", IP)], ["d1"])
+
     def test_duplicate_output_rejected(self):
         profiles = [profile("a", T.IP4), profile("b", T.IP4)]
         with pytest.raises(DuplicateOutputError):
