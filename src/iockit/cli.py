@@ -208,7 +208,10 @@ def _build_extractor(args) -> Extractor:
     from .extractor import Extractor
     from .validators import DEFAULT_TLDS, load_tlds
 
-    types = map(normalize_type_name, args.types.split(",")) if args.types else IndicatorType
+    if args.types is None:
+        types = IndicatorType
+    else:
+        types = map(normalize_type_name, args.types.split(","))
     return Extractor(types, load_tlds(args.tld_file) if args.tld_file else DEFAULT_TLDS)
 
 

@@ -37,23 +37,23 @@ def _trim_trailing(raw: str) -> str:
 
 
 def _anchored(
-    pattern: re.Pattern[str], anchors: tuple[re.Pattern[str], ...], reach: int,
+    pattern: re.Pattern[str], anchors: list[int], reach: int,
     back: Callable[[str], re.Match[str]] | None, start: re.Pattern[str], text: str,
 ) -> Iterator[tuple[int, str]]:
     """``pattern.finditer(text)`` as ``(start, string)`` pairs, where every
-    match holds a match of one of ``anchors`` at most ``reach`` characters
-    after its start, and ``start`` finds where matches can begin before an
-    anchor (see ``patterns.Anchor``).
+    match holds one of ``anchors``, the sorted positions of the type's
+    anchors in ``text``, at most ``reach`` characters after its start, and
+    ``start`` finds where matches can begin before an anchor (see
+    ``patterns.Anchor``).
 
-    The anchors of all ``anchors`` are walked in text order. For each after
-    the last match, ``pattern`` is tried where ``start`` matches in the
-    ``reach`` before it that no earlier window tried, in order; the first
-    hit is the match ``finditer`` would return next. ``back``, where given,
-    first moves the window's start up to the run that ``start`` can match,
-    read backwards from the anchor.
+    For each anchor after the last match, ``pattern`` is tried where
+    ``start`` matches in the ``reach`` before it that no earlier window
+    tried, in order; the first hit is the match ``finditer`` would return
+    next. ``back``, where given, first moves the window's start up to the
+    run that ``start`` can match, read backwards from the anchor.
     """
     pos = tried = 0
-    for a in sorted([found.start() for anchor in anchors for found in anchor.finditer(text)]):
+    for a in anchors:
         if a <= pos:
             continue
         s = max(pos, a - reach, tried)
@@ -102,8 +102,9 @@ class Extractor:
     Each type is one pass of the scan plan (see ``patterns``): a run type
     has its share of one pass over alphanumeric runs, a literal search over
     a copy of the text folded to one byte per character (``patterns.FOLD``),
-    and every other type is tried only near its anchors. Results are those
-    of one ``finditer`` pass per type.
+    and every other type is tried only near its anchors, each anchor
+    expression searched only in a text that holds its literal. Results are
+    those of one ``finditer`` pass per type.
     """
 
     def __init__(
@@ -120,8 +121,9 @@ class Extractor:
         self._validation = validation
         self._defanged = defanged
         anchors = ANCHORS[defanged]
-        # The arguments of ``_anchored`` but the text, then the kind, of each
-        # anchored pass.
+        # The expression, the ``(literal, expression)`` pairs of its anchors,
+        # the other arguments of ``_anchored`` but the text, then the kind,
+        # of each anchored pass.
         passes = []
         # Run length -> (body fullmatch, kind) of each run type held that a
         # run of that length can be.
@@ -139,7 +141,8 @@ class Extractor:
                 continue
             anchor = anchors[t]
             passes.append((
-                re.compile(entry.expression), tuple(map(re.compile, anchor.expressions)),
+                re.compile(entry.expression),
+                tuple((literal, re.compile(e)) for literal, e in anchor.expressions),
                 anchor.reach, anchor.back and re.compile(anchor.back).match,
                 re.compile(anchor.start), kind,
             ))
@@ -233,9 +236,17 @@ class Extractor:
     def _scan(self, text: str) -> Iterator[tuple[_Kind, Iterable[tuple[int, str]]]]:
         """Each type's pass over ``text`` as its kind and its pattern
         matches as ``(start, string)``, in text order and non-overlapping:
-        one anchored pass, or the type's share of the run pass."""
-        for *scan, kind in self._passes:
-            yield kind, _anchored(*scan, text)
+        one anchored pass, or the type's share of the run pass. A pass that
+        finds no anchor, or no run, is left out: it has no match."""
+        for pattern, anchors, *window, kind in self._passes:
+            # An anchor expression is searched only in a text that holds its
+            # leading literal, which a ``memchr`` finds.
+            if found := [
+                m.start() for literal, anchor in anchors if literal in text
+                for m in anchor.finditer(text)
+            ]:
+                found.sort()
+                yield kind, _anchored(pattern, found, *window, text)
         if self._run is not None:
             run_kinds = self._run_kinds
             shares: dict[IndicatorType, tuple[_Kind, list[tuple[int, str]]]] = {}

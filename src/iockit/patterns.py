@@ -48,7 +48,11 @@ and every kind finds exactly the matches of one ``finditer`` per type:
   passes together report every anchor, overlapping ones too (``_at_at_``),
   and none twice; the extractor walks them in text order. ``re`` skips
   ahead to a leading literal in C, where a leading alternation or class
-  would have it test every character.
+  would have it test every character. Each anchor expression is kept with
+  its literal and searched only in a text that holds it: a one-character
+  ``in`` test is a ``memchr``, while a ``finditer`` that finds nothing
+  still reads the whole text. A longer literal would gate less cheaply,
+  as an absent needle of several characters costs a full search.
   For each anchor after the last match, the extractor tries the expression
   at the positions in the ``reach`` before it that no earlier window tried
   and where ``start`` holds: the guard, then only what a match can hold
@@ -278,30 +282,33 @@ class Anchor(NamedTuple):
     """Where the matches of an expression can start. Each match holds an
     occurrence of one of ``expressions`` (an anchor) that begins at least
     one and at most ``reach`` characters after the match starts. Each of
-    ``expressions`` starts with its own literal, so no two report the same
-    position. ``start`` is searched in the text cut at an anchor
+    ``expressions`` is a pair ``(literal, expression)``: the expression
+    starts with its own one-character literal, so no two report the same
+    position, and is searched only in a text that holds that literal.
+    ``start`` is searched in the text cut at an anchor
     (``endpos``): it matches where every match holding that anchor, or a
     later one, starts in the ``reach`` before it. ``back``, where not None,
     matches the reversed text before an anchor up to the earliest of those
     starts, or further: the reversed form of what a match can hold before
     its anchor, as whole units."""
 
-    expressions: tuple[str, ...]
+    expressions: tuple[tuple[str, str], ...]
     reach: int
     start: str
     back: str | None = None
 
 
-def _occurrences(forms: tuple[str, ...], then: str = "") -> tuple[str, ...]:
+def _occurrences(forms: tuple[str, ...], then: str = "") -> tuple[tuple[str, str], ...]:
     """Expressions whose ``finditer`` passes together report where each of
     the literal ``forms``, followed by ``then``, occurs, overlapping
     occurrences too: one per distinct first character, which it consumes,
-    looking ahead for the rest of every form that starts with it."""
+    looking ahead for the rest of every form that starts with it. Each is
+    paired with that character, as ``Anchor.expressions`` are."""
     rests: dict[str, list[str]] = {}
     for form in forms:
         rests.setdefault(form[0], []).append(re.escape(form[1:]) + then)
     return tuple(
-        re.escape(first) + (f"(?={'|'.join(after)})" if any(after) else "")
+        (first, re.escape(first) + (f"(?={'|'.join(after)})" if any(after) else ""))
         for first, after in rests.items()
     )
 
@@ -335,7 +342,7 @@ def _anchors(
         # between them; the anchor is the second. Only hex digits and a
         # colon come before the first pair's second colon, at most 9 in.
         _T.IP6: Anchor(
-            (":(?:" + "|".join(rf"(?<=:{HEX}{{{n}}}.)" for n in range(5)) + ")",),
+            ((":", ":(?:" + "|".join(rf"(?<=:{HEX}{{{n}}}.)" for n in range(5)) + ")"),),
             9,
             rf"(?<![\w:.]){HEX}{{0,4}}:{HEX}{{0,4}}\Z",
         ),

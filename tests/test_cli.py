@@ -241,6 +241,15 @@ class TestExtractCommand:
         assert re.fullmatch(rf"iockit: extract worker [1-9][0-9]* stopped \({how}\)\n", err)
         assert out == serial_before
 
+    @pytest.mark.parametrize("types", ["", ",", "md5,"], ids=["empty", "comma", "trailing-comma"])
+    def test_empty_type_name_exit_2(self, corpus_dir, capsys, types):
+        # An empty --types names no type, and extracts none; it does not
+        # stand for every type, as a missing --types does.
+        code, out, err = run(
+            capsys, "extract", "--manifest", str(corpus_dir / "manifest.tsv"), "--types", types
+        )
+        assert (code, out, err) == (2, "", "iockit: empty type name\n")
+
     def test_missing_manifest_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "extract", "--manifest", str(tmp_path / "nope.tsv"))
         assert code == 2 and "missing file" in err

@@ -528,7 +528,7 @@ def test_run_pass_holds_every_run_type(name):
     assert {kind.type for kinds in extractor._run_kinds.values() for _, kind in kinds} == run_types
     anchors = ANCHORS[extractor._defanged]
     passes = sorted(
-        (kind.type, tuple(anchor.pattern for anchor in compiled))
+        (kind.type, tuple((literal, anchor.pattern) for literal, anchor in compiled))
         for _, compiled, _, _, _, kind in extractor._passes
     )
     assert passes == sorted((t, anchors[t].expressions) for t in extractor.types - run_types)
@@ -599,6 +599,68 @@ def test_expressions_are_only_matched_on_planted_corpus(defanged, planted_corpus
 def test_expressions_are_only_matched_on_plan_shaped_text(defanged, text):
     extractor, patched = _MATCH_ONLY[defanged]
     assert patched.extract_raw(text) == extractor.extract_raw(text)
+
+
+def _with_spied_anchors(defanged):
+    """``Extractor(defanged=defanged)`` whose anchor expressions record each
+    ``finditer`` call as ``(type, literal)`` in the list returned with it."""
+    spied, calls = Extractor(defanged=defanged), []
+
+    def spy(t, literal, anchor):
+        def finditer(text):
+            calls.append((t, literal))
+            return anchor.finditer(text)
+        return SimpleNamespace(finditer=finditer)
+
+    spied._passes = tuple(
+        (pattern, tuple((literal, spy(kind.type, literal, a)) for literal, a in anchors),
+         *rest, kind)
+        for pattern, anchors, *rest, kind in spied._passes
+    )
+    return spied, calls
+
+
+#: Texts that lack some anchor literals: the first none of ``@ [ ( _``, all
+#: but the last are ASCII and so never hold U+017F, and the third holds no
+#: literal at all.
+_GATED_TEXTS = (
+    "C2 198.51.100.7 and evil.example.com/x, see CVE-2021-44228 and AS13335; "
+    "net 203.0.113.0/24 at https://drop.example.org/p for UA-1234567-1",
+    "a[at]b[.]example.com, c(at)d(dot)org and x_at_y.net; fe80::1 00:1a:2b:3c:4d:5e "
+    "HKLM\\Software\\Run 96:abcdefgh:ijklmnop " + "a" * 16 + ".onion",
+    "the quick brown fox jumped over the lazy dog",
+    "",
+    "AS1 a\u017f12 AS\u0661 x@y.com",
+)
+
+
+@pytest.mark.parametrize("defanged", [True, False])
+@pytest.mark.parametrize(
+    "text", _GATED_TEXTS, ids=["no-at-bracket-paren-underscore", "defanged", "none", "empty", "s"]
+)
+def test_anchor_expressions_are_searched_only_in_texts_holding_their_literal(defanged, text):
+    # A ``finditer`` looking for an absent literal reads the whole text and
+    # finds nothing, so the extractor skips it: each anchor expression is
+    # searched, once per call, exactly when its literal is in the text.
+    extractor = Extractor(defanged=defanged)
+    spied, calls = _with_spied_anchors(defanged)
+    assert spied.extract_raw(text) == extractor.extract_raw(text)
+    assert spied.extract(text) == extractor.extract(text)
+    held = [
+        (t, literal) for t, anchor in ANCHORS[defanged].items()
+        for literal, _ in anchor.expressions if literal in text
+    ]
+    assert sorted(calls) == sorted(held * 2)
+
+
+def test_gated_texts_lack_the_literals_they_are_named_for():
+    first, defanged_forms, prose, _, non_ascii = _GATED_TEXTS
+    assert first.isascii() and not any(c in first for c in "@[(_")
+    assert Extractor().extract(first) and Extractor().extract(defanged_forms)
+    assert all(text.isascii() for text in _GATED_TEXTS[:-1])
+    literals = {literal for anchor in ANCHORS[True].values() for literal, _ in anchor.expressions}
+    assert not any(literal in prose for literal in literals)
+    assert "\u017f" in non_ascii
 
 
 #: Alphanumeric runs one short of the shortest run body (14) and at it (an

@@ -266,7 +266,7 @@ def test_backward_start_is_that_of_the_whole_window(t, defanged):
     # first start that ``start`` finds before each anchor where it was.
     anchor = ANCHORS[defanged][t]
     back, start = re.compile(anchor.back).match, re.compile(anchor.start)
-    anchors = [re.compile(e) for e in anchor.expressions]
+    anchors = [re.compile(e) for _, e in anchor.expressions]
     checked = 0
     for text in _backward_texts(t, defanged):
         found = sorted(m.start() for e in anchors for m in e.finditer(text))
@@ -291,21 +291,25 @@ def test_every_anchor_and_the_run_pass_start_with_a_literal_or_class():
     # assertion enters the matcher at every position. So each anchor
     # expression starts with its own literal, and the run pass with the
     # fold of the character before a run and of the shortest run after it,
-    # which the engine searches for as one literal prefix.
+    # which the engine searches for as one literal prefix. The literal kept
+    # beside each anchor expression, which gates its search, is that
+    # leading literal: a text without it holds no match of the expression.
     every_form = _VARIANTS[True][0] + _VARIANTS[True][1]
     text = "".join(f" {form}1" for form in every_form)
     for defanged, (dots, ats, _, _) in _VARIANTS.items():
         for t, anchor in ANCHORS[defanged].items():
             firsts = []
-            for expression in anchor.expressions:
+            for literal, expression in anchor.expressions:
                 op, first = _parser.parse(expression)[0]
                 assert op is sre.LITERAL, (t, defanged, expression)
+                assert literal == chr(first), (t, defanged, expression)
                 firsts.append(first)
             assert len(set(firsts)) == len(firsts), (t, defanged)
         # Together the expressions find each dot or at form and nothing else.
         for t, forms in ((T.FQDN, dots), (T.IP4, dots), (T.EMAIL, ats)):
             found = sorted(
-                m.start() for e in ANCHORS[defanged][t].expressions for m in re.finditer(e, text)
+                m.start() for _, e in ANCHORS[defanged][t].expressions
+                for m in re.finditer(e, text)
             )
             assert found == sorted(text.index(f" {form}1") + 1 for form in forms), (t, defanged)
     prefix = bytes(_compiler._get_literal_prefix(_parser.parse(RUN), 0)[0])
